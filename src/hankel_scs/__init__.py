@@ -6,11 +6,13 @@ to a rank-r symmetric Hankel matrix, which is completed by projected
 gradient descent on a single complex factor ``Z`` with ``M = Z Z^T``
 (:func:`hankel_scs.shgd.recover`).  A two-factor rectangular-lift baseline
 (:func:`hankel_scs.pgd.pgd_recover`) shares the same structured FFT
-operators.  :mod:`hankel_scs.bench` holds the reproducible experiment
-harness behind the ``hankel-scs`` command-line tool.
+operators and descent loop (:mod:`hankel_scs.descent`).
+:mod:`hankel_scs.bench` holds the reproducible experiment harness behind the
+``hankel-scs`` command-line tool.
 """
 
-from . import bench, freq_est, hankel_ops, lowrank, metrics, pgd, shgd, signal_model
+from . import bench, descent, freq_est, hankel_ops, lowrank, metrics, pgd, shgd, signal_model
+from .descent import IterRecord, RecoveryResult, SolverConfig, save_result
 from .freq_est import ModeEstimate, esprit
 from .hankel_ops import (
     HankelDims,
@@ -21,9 +23,9 @@ from .hankel_ops import (
     gstar_gram,
     gstar_outer,
     hankel_corr,
-    hankel_matvec,
     lift_dense,
     p_omega,
+    rect_dims,
     skew_diag_weights,
 )
 from .lowrank import (
@@ -43,8 +45,8 @@ from .metrics import (
     random_complex_orthogonal,
     rel_error,
 )
-from .pgd import FactorPair, pgd_recover, rect_dims
-from .shgd import IterRecord, RecoveryResult, SolverConfig, recover, save_result
+from .pgd import FactorPair, pgd_recover
+from .shgd import recover
 from .signal_model import (
     SamplingMask,
     SeparationError,
@@ -80,6 +82,7 @@ __all__ = [
     "apply_D",
     "apply_D_inv",
     "bench",
+    "descent",
     "dist_P_upper",
     "esprit",
     "first_order_gap",
@@ -88,7 +91,6 @@ __all__ = [
     "gstar_gram",
     "gstar_outer",
     "hankel_corr",
-    "hankel_matvec",
     "hankel_ops",
     "incoherence",
     "lemma4_check",

@@ -31,7 +31,7 @@ SUCCESS_REL_ERR = 1e-3
 TIMING_TARGETS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 SCALING_EXPONENTS = (11, 12, 13, 14)
 
-_KINDS = ("phase", "timing", "noise", "single", "selftest")
+_KINDS = ("phase", "timing", "noise")
 _SOLVERS = {"shgd": shgd.recover, "pgd": pgd.pgd_recover}
 
 
@@ -59,7 +59,6 @@ class ExperimentSpec:
     seed: int = 0
     solver: str = "shgd"
     solver_overrides: dict = field(default_factory=dict)
-    out: str | None = None
     threads: int = 1
     reps: int = 3
     variant: str = "ratio"
@@ -281,7 +280,7 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
     return GridResult(columns=columns, rows=rows, meta=build_meta(spec))
 
 
-def success_boundary(rows, rate: float = 0.9) -> dict:
+def success_boundary(rows) -> dict:
     """Per-rank largest-success view: r -> {p: success_rate} from grid rows."""
     table: dict = {}
     for row in rows:
@@ -555,23 +554,6 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
 
 
 # ---------------------------------------------------------------------------
-# Single recovery (spec plumbing for the CLI's synthetic one-shot mode)
-# ---------------------------------------------------------------------------
-
-
-def run_single(spec: ExperimentSpec) -> shgd.RecoveryResult:
-    """One seeded synthetic recovery at (n, r, m) with the configured solver."""
-    if spec.kind != "single":
-        raise ValueError("spec.kind must be 'single'")
-    n = spec.n or 127
-    r = spec.r or 4
-    m = spec.m if spec.m is not None else max(1, round(0.6 * n))
-    x, mask, observed, seed = _instance(spec, n, r, m, 0)
-    config = shgd.SolverConfig(r=r, seed=seed, **spec.solver_overrides)
-    return _SOLVERS[spec.solver](observed, mask, config, x_true=x)
-
-
-# ---------------------------------------------------------------------------
 # Selftest
 # ---------------------------------------------------------------------------
 
@@ -697,7 +679,7 @@ def _selftest_checks():
         model = signal_model.random_model(n, r, rng=rng, min_sep=1.0 / n)
         x = signal_model.synthesize(model)
         mask = signal_model.uniform_mask(n, 20, rng=rng)
-        n_1, n_2 = pgd.rect_dims(n)
+        n_1, n_2 = hankel_ops.rect_dims(n)
         y = hankel_ops.apply_D(signal_model.observe(x, mask, rng=rng), n_rows=n_1)
         p = mask.m / n
         Z_U = rng.standard_normal((n_1, r)) + 1j * rng.standard_normal((n_1, r))

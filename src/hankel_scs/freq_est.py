@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hankel_ops, lowrank
-from .pgd import rect_dims
 
 
 @dataclass
@@ -33,22 +32,10 @@ def esprit(x: np.ndarray, r: int) -> ModeEstimate:
         raise ValueError("rank must be >= 1")
     if n < 2 * r + 1:
         raise ValueError(f"need at least 2r+1 = {2 * r + 1} samples, got {n}")
-    n_1, n_2 = rect_dims(n)
-
-    def apply(V):
-        return hankel_ops.hankel_corr(x, V, n_1)
-
-    def applyH(U):
-        return np.conj(hankel_ops.hankel_corr(x, np.conj(U), n_2))
-
-    U, sig, _ = lowrank.trunc_svd(
-        apply, applyH, (n_1, n_2), r, seed=0,
-        tol=1e-10, max_rounds=60, strict=False,
+    n_1, _ = hankel_ops.rect_dims(n)
+    U, _, _ = lowrank.lift_svd(
+        x, n_1, r, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12
     )
-    if sig[r - 1] <= 1e-12 * max(sig[0], 1e-300):
-        raise lowrank.RankDeficiencyError(
-            f"signal subspace has numerical rank below {r}; try a smaller rank"
-        )
 
     shift = np.linalg.pinv(U[:-1]) @ U[1:]
     poles = np.linalg.eigvals(shift)

@@ -131,6 +131,19 @@ def hankel_adjoint_dense(M: np.ndarray) -> np.ndarray:
     return np.array([F.diagonal(k).sum() for k in range(-(n_rows - 1), n_cols)])
 
 
+def rect_dims(n: int) -> tuple[int, int]:
+    """Rectangular lift shape (n_1, n_2) with n_1 + n_2 - 1 = n."""
+    if n < 1:
+        raise ValueError("signal length must be >= 1")
+    n_1 = (n + 1) // 2
+    return n_1, n + 1 - n_1
+
+
+def mask_counts(mask) -> np.ndarray:
+    """Per-index sample multiplicity (float), length ``mask.n``."""
+    return np.bincount(np.asarray(mask.indices), minlength=mask.n).astype(float)
+
+
 def p_omega(x: np.ndarray, mask) -> np.ndarray:
     """Sampling projector: zero off-mask, multiplicity-weighted on-mask.
 
@@ -138,9 +151,7 @@ def p_omega(x: np.ndarray, mask) -> np.ndarray:
     by their multiplicity, matching the analysis operator for sampling with
     replacement.
     """
-    x = np.asarray(x)
-    counts = np.bincount(np.asarray(mask.indices), minlength=mask.n)
-    return x * counts
+    return np.asarray(x) * mask_counts(mask)
 
 
 def hankel_corr(
@@ -173,11 +184,18 @@ def hankel_corr(
     return out[:, 0] if single else out
 
 
-def hankel_matvec(
-    h: np.ndarray, v: np.ndarray, n_out: int, counter: OpCounter | None = None
-) -> np.ndarray:
-    """Fast Hankel matrix-vector product: out[a] = sum_i h[a + i] v[i]."""
-    return hankel_corr(h, v, n_out, counter=counter)
+def lift_operator(u: np.ndarray, n_rows: int):
+    """``(apply, applyH, dims)`` of the Hankel lift H(u) with ``n_rows`` rows:
+    the block actions V -> H(u) V and U -> H(u)^H U, and (n_rows, n_cols)."""
+    n_cols = u.shape[0] - n_rows + 1
+
+    def apply(V):
+        return hankel_corr(u, V, n_rows)
+
+    def applyH(U):
+        return np.conj(hankel_corr(u, np.conj(U), n_cols))
+
+    return apply, applyH, (n_rows, n_cols)
 
 
 def gstar_outer(

@@ -111,6 +111,25 @@ def trunc_svd(
     return Q @ Ub[:, :r], sig[:r].copy(), V[:, :r]
 
 
+def lift_svd(u: np.ndarray, n_rows: int, r: int, seed, tol: float,
+             max_rounds: int, rank_tol: float):
+    """Best-effort rank-r SVD of the rectangular Hankel lift H(u), rank-checked.
+
+    Runs :func:`trunc_svd` non-strictly on the lift's matrix-free actions and
+    raises :class:`RankDeficiencyError` when sigma_r <= rank_tol * sigma_1.
+    """
+    apply, applyH, dims = hankel_ops.lift_operator(u, n_rows)
+    U, sig, V = trunc_svd(
+        apply, applyH, dims, r, seed=seed,
+        tol=tol, max_rounds=max_rounds, strict=False,
+    )
+    if sig[r - 1] <= rank_tol * max(sig[0], 1e-300):
+        raise RankDeficiencyError(
+            f"Hankel lift has numerical rank below {r}; try a smaller rank"
+        )
+    return U, sig, V
+
+
 def _cluster_slices(sigma: np.ndarray, rel_gap: float = 1e-8):
     """Group nonincreasing singular values into clusters of near-equal value."""
     scale = sigma[0] if sigma[0] > 0 else 1.0
@@ -236,10 +255,7 @@ def spectral_init(observed: np.ndarray, mask, r: int, seed=None):
         raise ValueError(f"need 1 <= r <= n_s={n_s}, got r={r}")
     p_hat = mask.m / n
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed, mask)) / p_hat
-
-    def apply(V):
-        return hankel_ops.hankel_corr(u, V, n_s)
-
+    apply, _, _ = hankel_ops.lift_operator(u, n_s)
     # The init only needs to resolve the top-r subspace down to the sampling
     # noise floor, which dominates any subspace-iteration residual long before
     # these caps bind; tighter settings cost seconds at n ~ 2000 for no gain.

@@ -17,7 +17,8 @@ w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
 two n_i r^2 products.  Even n needs no zero-padding: the rectangular lift
-absorbs it (n_1 = n/2, n_2 = n/2 + 1).
+absorbs it (n_1 = n/2, n_2 = n/2 + 1).  The iteration loop, step policies and
+result type are the symmetric solver's, from :mod:`hankel_scs.descent`.
 """
 
 from __future__ import annotations
@@ -26,28 +27,12 @@ import math
 
 import numpy as np
 
-from . import hankel_ops, lowrank
-from .shgd import (
-    RecoveryResult,
-    SolverConfig,
-    _data_penalty_terms,
-    _descend,
-    _mask_counts,
-    fixed_step,
-    project_C,
-    split_for_iterations,
-)
+from . import descent, hankel_ops, lowrank
+from .descent import RecoveryResult, SolverConfig, project_C
+from .hankel_ops import rect_dims
 from .signal_model import SamplingMask
 
 LAMBDA_BALANCE = 1.0 / 16.0
-
-
-def rect_dims(n: int) -> tuple[int, int]:
-    """Rectangular lift shape (n_1, n_2) with n_1 + n_2 - 1 = n."""
-    if n < 1:
-        raise ValueError("signal length must be >= 1")
-    n_1 = (n + 1) // 2
-    return n_1, n + 1 - n_1
 
 
 class FactorPair:
@@ -72,7 +57,7 @@ class FactorPair:
         return self.Z_U.shape[0] + self.Z_V.shape[0] - 1
 
 
-def _evaluate_pair(Zs, y_obs, counts, p, counter=None):
+def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     Z_U, Z_V = Zs
     g, FU, FVbar = hankel_ops.gstar_outer(
         Z_U, np.conj(Z_V), counter=counter, return_spectra=True
@@ -84,50 +69,40 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None):
     B = GU - GV
     # ||Z_U Z_V^H||_F^2 = trace(GU GV), real since both grams are Hermitian.
     m_norm2 = float(np.real(np.vdot(GV, GU)))
-    masked, data, pen = _data_penalty_terms(g, m_norm2, y_obs, counts, p)
     balance = LAMBDA_BALANCE * float(np.real(np.vdot(B, B)))
-    return {
-        "Zs": Zs,
-        "g": g,
-        "FU": FU,
-        "FVbar": FVbar,
-        "GU": GU,
-        "GV": GV,
-        "B": B,
-        "masked": masked,
-        "loss": max(data + pen + balance, 0.0),
-    }
+    return descent.make_state(
+        Zs, g, m_norm2, y_obs, counts, p, aux=(FU, FVbar, GU, GV, B), extra_loss=balance
+    )
 
 
-def _gradients_pair(state, p, counter=None):
-    Z_U, Z_V = state["Zs"]
+def _gradients_pair(state: descent.State, p, counter=None):
+    FU, FVbar, GU, GV, B = state.aux
+    Z_U, Z_V = state.Zs
     n_1 = Z_U.shape[0]
     n_2 = Z_V.shape[0]
-    w = state["masked"] / p - state["g"]
+    w = state.masked / p - state.g
     h = hankel_ops.apply_D_inv(w, n_rows=n_1)
-    gw_V = hankel_ops.hankel_corr(
-        h, Z_V, n_1, counter=counter, cbar_spectrum=state["FVbar"]
-    )
+    gw_V = hankel_ops.hankel_corr(h, Z_V, n_1, counter=counter, cbar_spectrum=FVbar)
     gw_U = np.conj(hankel_ops.hankel_corr(
-        h, np.conj(Z_U), n_2, counter=counter, cbar_spectrum=state["FU"]
+        h, np.conj(Z_U), n_2, counter=counter, cbar_spectrum=FU
     ))
     if counter is not None:
         counter.add_flops((n_1 + n_2) * Z_U.shape[1] ** 2)
-    grad_U = 0.5 * gw_V + Z_U @ (0.5 * state["GV"] + 0.25 * state["B"])
-    grad_V = 0.5 * gw_U + Z_V @ (0.5 * state["GU"] - 0.25 * state["B"])
+    grad_U = 0.5 * gw_V + Z_U @ (0.5 * GV + 0.25 * B)
+    grad_V = 0.5 * gw_U + Z_V @ (0.5 * GU - 0.25 * B)
     return grad_U, grad_V
 
 
 def pgd_loss(pair: FactorPair, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:
     """Baseline loss at a factor pair (see module docstring)."""
-    counts = _mask_counts(mask, y_obs.shape[0])
-    return _evaluate_pair((pair.Z_U, pair.Z_V), y_obs, counts, p)["loss"]
+    counts = hankel_ops.mask_counts(mask)
+    return _evaluate_pair((pair.Z_U, pair.Z_V), y_obs, counts, p).loss
 
 
 def pgd_grads(pair: FactorPair, y_obs: np.ndarray, mask: SamplingMask, p: float,
               counter: hankel_ops.OpCounter | None = None):
     """Gradients (grad_U, grad_V) of :func:`pgd_loss`."""
-    counts = _mask_counts(mask, y_obs.shape[0])
+    counts = hankel_ops.mask_counts(mask)
     state = _evaluate_pair((pair.Z_U, pair.Z_V), y_obs, counts, p, counter=counter)
     return _gradients_pair(state, p, counter=counter)
 
@@ -144,28 +119,14 @@ def rect_spectral_init(
     (exactly balanced).
     """
     n = observed_y.shape[0]
-    n_1, n_2 = rect_dims(n)
-    if not 1 <= r <= n_1:
-        raise ValueError(f"rank must lie in [1, {n_1}]")
+    n_1, _ = rect_dims(n)
     p_hat = mask.m / n
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask), n_rows=n_1) / p_hat
-
-    def apply(V):
-        return hankel_ops.hankel_corr(u, V, n_1)
-
-    def applyH(U):
-        return np.conj(hankel_ops.hankel_corr(u, np.conj(U), n_2))
-
     # Same caps as the symmetric init: resolve the subspace to the sampling
     # noise floor only, keeping large-instance initialization cheap.
-    U, sig, V = lowrank.trunc_svd(
-        apply, applyH, (n_1, n_2), r, seed=seed,
-        tol=1e-6, max_rounds=30, strict=False,
+    U, sig, V = lowrank.lift_svd(
+        u, n_1, r, seed=seed, tol=1e-6, max_rounds=30, rank_tol=1e-14
     )
-    if sig[r - 1] <= 1e-14 * max(sig[0], 1e-300):
-        raise lowrank.RankDeficiencyError(
-            f"partial lift has numerical rank below {r}; try a smaller rank"
-        )
     root = np.sqrt(sig)[None, :]
     return U * root, V * root, float(sig[0])
 
@@ -178,10 +139,7 @@ def _factor_radius(F0: np.ndarray, sigma: float, r: int) -> float:
     mu_F = max(1, n_F ||F0_normalized||_{2,inf}^2 / r).
     """
     n_F = F0.shape[0]
-    col_norms = np.linalg.norm(F0, axis=0)
-    col_norms[col_norms == 0] = 1.0
-    U0 = F0 / col_norms[None, :]
-    mu_F = max(1.0, n_F * float((np.abs(U0) ** 2).sum(axis=1).max()) / r)
+    mu_F = max(1.0, n_F * descent.max_row_energy(F0) / r)
     return 2.0 * math.sqrt(mu_F * r * sigma / (2 * n_F))
 
 
@@ -197,61 +155,35 @@ def pgd_recover(
     solver; history records additionally carry the balancing gap
     ||Z_U^H Z_U - Z_V^H Z_V||_F.
     """
-    observed = np.asarray(observed, dtype=complex)
-    if observed.shape[0] != mask.n:
-        raise ValueError("observation length and mask ambient length differ")
+    observed, truth = descent.check_inputs(observed, mask, x_true)
     n = observed.shape[0]
     n_1, _ = rect_dims(n)
     y_obs = hankel_ops.apply_D(observed, n_rows=n_1)
+    init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
-    init_mask, iter_masks = split_for_iterations(mask, config)
-    iter_counts = [(_mask_counts(m, n), m.m / n) for m in iter_masks]
-
-    counter = hankel_ops.OpCounter()
     Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed)
     sigma = sigma1 / (1.0 - config.epsilon0)
     radius_U = _factor_radius(Z_U0, sigma, config.r)
     radius_V = _factor_radius(Z_V0, sigma, config.r)
 
-    def project(Zs):
-        if not config.projection:
-            return Zs
-        return project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)
-
-    truth = np.asarray(x_true, dtype=complex) if x_true is not None else None
-
-    eta_numerator = config.eta_prime if config.step_policy == "fixed" else config.eta0_scale
-    # The rectangular parametrization reaches each lift entry through one
-    # factor instead of two symmetric copies, so the exact gradient of the
-    # shared loss normalization is half the symmetric solver's scale.  The
-    # canonical two-factor iteration absorbs that factor into the step, and
-    # doubling here reproduces it: per-iteration progress then matches the
-    # symmetric solver at the same configured eta'.
-    eta0 = fixed_step(sigma1, 2.0 * eta_numerator)
-
-    state, x_final, history, termination = _descend(
+    return descent.descend(
         evaluate=lambda Zs, counts, p, ctr: _evaluate_pair(Zs, y_obs, counts, p, ctr),
         gradient=_gradients_pair,
-        project=project,
-        signal_of=lambda st: hankel_ops.apply_D_inv(st["g"], n_rows=n_1),
-        Zs0=project((Z_U0, Z_V0)),
+        project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
+        signal_of=lambda st: hankel_ops.apply_D_inv(st.g, n_rows=n_1),
+        Zs0=(Z_U0, Z_V0),
         iter_counts=iter_counts,
         config=config,
-        eta0=eta0,
-        counter=counter,
+        sigma1=sigma1,
+        n_out=n,
+        factor_of=lambda Zs: FactorPair(*Zs),
+        # The rectangular parametrization reaches each lift entry through one
+        # factor instead of two symmetric copies, so the exact gradient of the
+        # shared loss normalization is half the symmetric solver's scale.  The
+        # canonical two-factor iteration absorbs that factor into the step, and
+        # doubling here reproduces it: per-iteration progress then matches the
+        # symmetric solver at the same configured eta'.
+        step_scale=2.0,
         truth=truth,
-        extra_record=lambda st: {
-            "balancing_gap": float(np.linalg.norm(st["B"]))
-        },
-    )
-
-    return RecoveryResult(
-        x_hat=x_final,
-        Z_final=FactorPair(*state["Zs"]),
-        iters=len(history),
-        history=history,
-        termination=termination,
-        sigma1_M0=sigma1,
-        mu=0.0,
-        counter=counter,
+        gap_of=lambda st: float(np.linalg.norm(st.aux[-1])),
     )

@@ -19,130 +19,35 @@ the Hermitian gram A = Z^H Z (real because A is Hermitian).
 
 Iterations follow the projected scheme Z <- P_C(Z - eta * grad f(Z)) from a
 spectral (truncated Takagi) initialization, where P_C clips factor rows to
-the incoherence radius 2 sqrt(mu r sigma / n).  The iteration driver
-(:func:`_descend`) is shared with the two-factor baseline in
-:mod:`hankel_scs.pgd`.
+the incoherence radius 2 sqrt(mu r sigma / n).  The iteration loop, the
+configuration and the result types live in :mod:`hankel_scs.descent`,
+shared with the two-factor baseline in :mod:`hankel_scs.pgd`; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hankel_ops, lowrank
+from . import descent, hankel_ops, lowrank
+from .descent import (  # noqa: F401  (re-exported solver API)
+    IterRecord,
+    RecoveryResult,
+    SolverConfig,
+    fixed_step,
+    project_C,
+    result_to_dict,
+    save_result,
+)
 from .signal_model import SamplingMask
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for the projected gradient solvers (shared by the baseline).
-
-    ``step_policy`` is "backtracking" (Armijo halving from
-    eta0_scale/sigma_1(M0)) or "fixed" (eta_prime/sigma_1(M0)).  ``mu`` left
-    as None estimates the incoherence from the initialization factor.  With
-    ``sample_splitting`` the mask is split into K+1 equal parts (remainder
-    round-robin): part 0 initializes, parts 1..K are cycled per iteration.
-    """
-
-    r: int
-    max_iters: int = 1000
-    rel_change_tol: float = 1e-7
-    step_policy: str = "backtracking"
-    eta_prime: float = 0.75
-    beta: float = 0.5
-    c_armijo: float = 1e-4
-    eta0_scale: float = 0.75
-    max_halvings: int = 30
-    projection: bool = True
-    mu: float | None = None
-    epsilon0: float = 0.1
-    sample_splitting: bool = False
-    K: int = 10
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        if self.step_policy not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step_policy {self.step_policy!r}")
-        if self.eta_prime <= 0:
-            raise ValueError("eta_prime must be positive")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0 < self.c_armijo < 1:
-            raise ValueError("c_armijo must lie in (0, 1)")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if not 0 <= self.epsilon0 < 1:
-            raise ValueError("epsilon0 must lie in [0, 1)")
-        if self.sample_splitting and self.K < 1:
-            raise ValueError("sample splitting needs K >= 1")
-
-
-@dataclass
-class IterRecord:
-    k: int
-    loss: float
-    rel_change: float
-    step: float
-    ms: float
-    fft_passes: int = 0
-    rel_err: float | None = None
-    balancing_gap: float | None = None
-
-
-@dataclass
-class RecoveryResult:
-    x_hat: np.ndarray
-    Z_final: object
-    iters: int
-    history: list[IterRecord]
-    termination: str  # tol_reached | max_iters | diverged
-    sigma1_M0: float = 0.0
-    mu: float = 0.0
-    counter: hankel_ops.OpCounter = field(default_factory=hankel_ops.OpCounter)
-
-
-def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
-    """Step size eta = eta' / sigma_1(M0)."""
-    if sigma1_M0 <= 0:
-        raise ValueError("sigma1_M0 must be positive")
-    return eta_prime / sigma1_M0
-
-
-def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
-    """Clip factor rows to 2-norm ``radius`` (idempotent)."""
-    norms = np.linalg.norm(Z, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(norms > radius, radius / norms, 1.0)
-    return Z * scale[:, None]
 
 
 def estimate_mu(Z0: np.ndarray, n: int, r: int) -> float:
     """Incoherence proxy n ||U0||_{2,inf}^2 / (2r) from an unnormalized factor."""
-    col_norms = np.linalg.norm(Z0, axis=0)
-    col_norms[col_norms == 0] = 1.0
-    U0 = Z0 / col_norms[None, :]
-    mu = n * float((np.abs(U0) ** 2).sum(axis=1).max()) / (2 * r)
+    mu = n * descent.max_row_energy(Z0) / (2 * r)
     return max(mu, 1.0)
-
-
-def _mask_counts(mask: SamplingMask, n: int) -> np.ndarray:
-    return np.bincount(np.asarray(mask.indices), minlength=n).astype(float)
-
-
-def _split_mask(mask: SamplingMask, K: int, seed) -> list[SamplingMask]:
-    """Split into K+1 near-equal parts, remainder round-robin, shuffled."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(np.asarray(mask.indices))
-    return [
-        SamplingMask(mask.n, np.sort(perm[j :: K + 1]), mask.with_replacement)
-        for j in range(K + 1)
-    ]
 
 
 def _pad_odd(observed: np.ndarray, mask: SamplingMask):
@@ -154,160 +59,38 @@ def _pad_odd(observed: np.ndarray, mask: SamplingMask):
     return padded, SamplingMask(n + 1, mask.indices, mask.with_replacement)
 
 
-def _data_penalty_terms(g, A_sq_trace, y_obs, counts, p):
-    """Shared loss pieces: (masked residual, data term, Hankel penalty)."""
-    resid = g - y_obs
-    masked = counts * resid
-    data = float(np.real(np.vdot(masked, resid))) / (4.0 * p)
-    pen = 0.25 * (A_sq_trace - float(np.real(np.vdot(g, g))))
-    return masked, data, max(pen, 0.0)
-
-
-def _evaluate(Z, y_obs, counts, p, counter=None):
-    """Loss pieces at Z sharing one r-pass convolution: returns a state dict."""
+def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
+    """Loss pieces at Z sharing one r-pass convolution."""
     g, FZ = hankel_ops.gstar_gram(Z, counter=counter, return_spectrum=True)
     A = Z.conj().T @ Z
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
     m_norm2 = float(np.real((A * A).sum()))  # ||Z Z^T||_F^2 via the gram
-    masked, data, pen = _data_penalty_terms(g, m_norm2, y_obs, counts, p)
-    return {
-        "Zs": (Z,),
-        "g": g,
-        "FZ": FZ,
-        "A": A,
-        "masked": masked,
-        "loss": max(data + pen, 0.0),
-    }
+    return descent.make_state((Z,), g, m_norm2, y_obs, counts, p, aux=(FZ, A))
 
 
-def _gradient(state, p, counter=None):
-    w = state["masked"] / p - state["g"]
-    Z = state["Zs"][0]
-    gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=state["FZ"])
+def _gradient(state: descent.State, p, counter=None):
+    FZ, A = state.aux
+    (Z,) = state.Zs
+    w = state.masked / p - state.g
+    gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
-    return (gw + Z @ np.conj(state["A"]),)
+    return (gw + Z @ np.conj(A),)
 
 
 def loss(Z: np.ndarray, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:
     """f(Z) of the sampled weighted-domain observations (see module docstring)."""
-    counts = _mask_counts(mask, y_obs.shape[0])
-    return _evaluate(Z, y_obs, counts, p)["loss"]
+    counts = hankel_ops.mask_counts(mask)
+    return _evaluate(Z, y_obs, counts, p).loss
 
 
 def grad(Z: np.ndarray, y_obs: np.ndarray, mask: SamplingMask, p: float,
          counter: hankel_ops.OpCounter | None = None) -> np.ndarray:
     """Gradient of :func:`loss` in the rearranged matrix-free form."""
-    counts = _mask_counts(mask, y_obs.shape[0])
+    counts = hankel_ops.mask_counts(mask)
     state = _evaluate(Z, y_obs, counts, p, counter=counter)
     return _gradient(state, p, counter=counter)[0]
-
-
-def _descend(
-    *,
-    evaluate,
-    gradient,
-    project,
-    signal_of,
-    Zs0,
-    iter_counts,
-    config: SolverConfig,
-    eta0: float,
-    counter: hankel_ops.OpCounter,
-    truth=None,
-    extra_record=None,
-):
-    """Projected-gradient loop shared by the one- and two-factor solvers.
-
-    ``evaluate(Zs, counts, p, counter)`` returns a state dict with at least
-    "Zs", "g", "loss"; ``gradient(state, p, counter)`` returns per-factor
-    gradients; ``project`` maps a factor tuple onto the constraint set;
-    ``signal_of(state)`` extracts the sample-domain iterate used for the
-    relative-change stop.  Returns (state, x, history, termination).
-    """
-    counts, p = iter_counts[0]
-    state = evaluate(Zs0, counts, p, counter)
-    loss_init = state["loss"]
-    x_prev = signal_of(state)
-    history: list[IterRecord] = []
-    termination = "max_iters"
-
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        passes0 = counter.fft_passes
-        if len(iter_counts) > 1:
-            counts, p = iter_counts[k % len(iter_counts)]
-            state = evaluate(state["Zs"], counts, p, counter)
-        grads = gradient(state, p, counter)
-        gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
-
-        def _candidate(eta):
-            Zs = tuple(Z - eta * gz for Z, gz in zip(state["Zs"], grads))
-            return evaluate(project(Zs), counts, p, counter)
-
-        if config.step_policy == "fixed":
-            eta = eta0
-            new_state = _candidate(eta)
-        else:
-            eta = eta0
-            for _ in range(config.max_halvings + 1):
-                new_state = _candidate(eta)
-                if new_state["loss"] <= state["loss"] - config.c_armijo * eta * gnorm2:
-                    break
-                eta *= config.beta
-            if new_state["loss"] > state["loss"]:
-                termination = "diverged"  # no decrease at the smallest step
-                history.append(IterRecord(
-                    k=k, loss=new_state["loss"], rel_change=float("inf"),
-                    step=eta, ms=(time.perf_counter() - t0) * 1e3,
-                    fft_passes=counter.fft_passes - passes0,
-                ))
-                break
-
-        x_new = signal_of(new_state)
-        denom = float(np.linalg.norm(x_prev))
-        delta = float(np.linalg.norm(x_new - x_prev))
-        rel_change = delta / denom if denom > 0 else (0.0 if delta == 0 else float("inf"))
-        rec = IterRecord(
-            k=k,
-            loss=new_state["loss"],
-            rel_change=rel_change,
-            step=eta,
-            ms=(time.perf_counter() - t0) * 1e3,
-            fft_passes=counter.fft_passes - passes0,
-        )
-        if truth is not None:
-            # Compare on the truth's own support: iterates may carry a padded
-            # tail sample that the caller's reference signal does not cover.
-            rec.rel_err = float(
-                np.linalg.norm(x_new[: truth.shape[0]] - truth) / np.linalg.norm(truth)
-            )
-        if extra_record is not None:
-            for name, value in extra_record(new_state).items():
-                setattr(rec, name, value)
-        history.append(rec)
-
-        if not np.isfinite(new_state["loss"]):
-            termination = "diverged"  # keep the last finite iterate
-            break
-        state, x_prev = new_state, x_new
-        if rel_change <= config.rel_change_tol:
-            termination = "tol_reached"
-            break
-        if new_state["loss"] > 1e6 * loss_init + 1e-300:
-            termination = "diverged"
-            break
-
-    return state, x_prev, history, termination
-
-
-def split_for_iterations(mask: SamplingMask, config: SolverConfig):
-    """(init_mask, per-iteration masks) honoring the sample-splitting switch."""
-    if config.sample_splitting:
-        parts = _split_mask(mask, config.K, config.seed)
-        return parts[0], parts[1:]
-    return mask, [mask]
 
 
 def recover(
@@ -323,88 +106,29 @@ def recover(
     ``x_true`` is optional instrumentation: when given, per-iteration relative
     errors are recorded in the history (it never influences the iterates).
     """
-    observed = np.asarray(observed, dtype=complex)
-    if observed.shape[0] != mask.n:
-        raise ValueError("observation length and mask ambient length differ")
+    observed, truth = descent.check_inputs(observed, mask, x_true)
     n_orig = observed.shape[0]
-    observed_p, mask_p = _pad_odd(observed, mask)
-    n = observed_p.shape[0]
-    y_obs = hankel_ops.apply_D(observed_p)
+    observed, mask = _pad_odd(observed, mask)
+    n = observed.shape[0]
+    y_obs = hankel_ops.apply_D(observed)
+    init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
-    init_mask, iter_masks = split_for_iterations(mask_p, config)
-    iter_counts = [(_mask_counts(m, n), m.m / n) for m in iter_masks]
-
-    counter = hankel_ops.OpCounter()
-    Z0_raw, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed)
+    Z0, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed)
     sigma = sigma1 / (1.0 - config.epsilon0)
-    mu = config.mu if config.mu is not None else estimate_mu(Z0_raw, n, config.r)
+    mu = config.mu if config.mu is not None else estimate_mu(Z0, n, config.r)
     radius = 2.0 * math.sqrt(mu * config.r * sigma / n)
 
-    def project(Zs):
-        return (project_C(Zs[0], radius),) if config.projection else Zs
-
-    truth = None
-    if x_true is not None:
-        truth = np.asarray(x_true, dtype=complex)
-        if truth.shape[0] != n_orig:
-            raise ValueError("x_true length must match the observation length")
-
-    eta_numerator = config.eta_prime if config.step_policy == "fixed" else config.eta0_scale
-    eta0 = fixed_step(sigma1, eta_numerator)
-
-    state, x_final, history, termination = _descend(
+    return descent.descend(
         evaluate=lambda Zs, counts, p, ctr: _evaluate(Zs[0], y_obs, counts, p, ctr),
         gradient=_gradient,
-        project=project,
-        signal_of=lambda st: hankel_ops.apply_D_inv(st["g"]),
-        Zs0=project((Z0_raw,)),
+        project=lambda Zs: (project_C(Zs[0], radius),),
+        signal_of=lambda st: hankel_ops.apply_D_inv(st.g),
+        Zs0=(Z0,),
         iter_counts=iter_counts,
         config=config,
-        eta0=eta0,
-        counter=counter,
+        sigma1=sigma1,
+        n_out=n_orig,
+        factor_of=lambda Zs: Zs[0],
+        mu=mu,
         truth=truth,
     )
-
-    return RecoveryResult(
-        x_hat=x_final[:n_orig],
-        Z_final=state["Zs"][0],
-        iters=len(history),
-        history=history,
-        termination=termination,
-        sigma1_M0=sigma1,
-        mu=mu,
-        counter=counter,
-    )
-
-
-def result_to_dict(result: RecoveryResult) -> dict:
-    """JSON-ready view of a recovery result (non-finite floats become null)."""
-
-    def _num(v):
-        return float(v) if v is not None and math.isfinite(v) else None
-
-    hist = []
-    for rec in result.history:
-        row = {
-            "k": rec.k,
-            "loss": _num(rec.loss),
-            "rel_change": _num(rec.rel_change),
-            "step": _num(rec.step),
-            "ms": _num(rec.ms),
-        }
-        if rec.rel_err is not None:
-            row["rel_err"] = _num(rec.rel_err)
-        if rec.balancing_gap is not None:
-            row["balancing_gap"] = _num(rec.balancing_gap)
-        hist.append(row)
-    return {
-        "x_hat": [[float(v.real), float(v.imag)] for v in result.x_hat],
-        "iters": result.iters,
-        "termination": result.termination,
-        "history": hist,
-    }
-
-
-def save_result(path, result: RecoveryResult) -> None:
-    with open(path, "w") as f:
-        json.dump(result_to_dict(result), f)

@@ -241,6 +241,8 @@ def load_ssig(path) -> tuple[np.ndarray, SamplingMask]:
     samples = np.asarray(doc["samples"], dtype=float)
     if samples.shape != (n, 2):
         raise ValueError(f"samples must be n x 2 reals, got shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     signal = samples[:, 0] + 1j * samples[:, 1]
     indices = np.asarray(doc["observed"], dtype=int)
     with_replacement = len(np.unique(indices)) != indices.shape[0]

@@ -302,6 +302,18 @@ def test_cli_usage_errors(tmp_path):
     assert exc.value.code == 1
 
 
+def test_cli_recover_rejects_nonfinite_samples(tmp_path):
+    sig = tmp_path / "sig.ssig.json"
+    assert cli.main(["gen", "--n", "31", "--rank", "2", "--m", "20",
+                     "--seed", "0", "--out", str(sig)]) == 0
+    doc = json.loads(sig.read_text())
+    doc["samples"][doc["observed"][0]][0] = float("nan")
+    sig.write_text(json.dumps(doc))
+    assert cli.main(["recover", "--input", str(sig), "--rank", "2",
+                     "--out", str(tmp_path / "r.json")]) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_config_validation(tmp_path):
     sig = tmp_path / "sig.ssig.json"
     assert cli.main(["gen", "--n", "31", "--rank", "2", "--m", "20",

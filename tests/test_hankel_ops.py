@@ -190,15 +190,27 @@ def test_hankel_corr_matches_dense(rng):
         assert rel(got, want) <= 1e-12
 
 
-def test_hankel_matvec_matches_dense(rng):
+def test_hankel_corr_single_vector_matches_dense(rng):
     for _ in range(50):
         n_rows = int(rng.integers(1, 40))
         n_cols = int(rng.integers(1, 40))
         h = rand_complex(rng, n_rows + n_cols - 1)
         v = rand_complex(rng, n_cols)
-        got = hankel_ops.hankel_matvec(h, v, n_rows)
+        got = hankel_ops.hankel_corr(h, v, n_rows)
         want = loop_lift(h, n_rows, n_cols) @ v
         assert rel(got, want) <= 1e-12
+
+
+def test_lift_operator_matches_dense(rng):
+    for n_rows, n_cols in ((1, 1), (5, 5), (6, 9), (9, 4)):
+        u = rand_complex(rng, n_rows + n_cols - 1)
+        apply, applyH, dims = hankel_ops.lift_operator(u, n_rows)
+        assert dims == (n_rows, n_cols)
+        H = loop_lift(u, n_rows, n_cols)
+        V = rand_complex(rng, n_cols, 3)
+        U = rand_complex(rng, n_rows, 3)
+        assert rel(apply(V), H @ V) <= 1e-12
+        assert rel(applyH(U), H.conj().T @ U) <= 1e-12
 
 
 def test_gstar_gram_selector_column_example():

@@ -154,6 +154,12 @@ def test_pgd_recover_partial_mask_easy_regime():
     assert wins >= 8
 
 
+def test_pgd_recover_x_true_must_match_observation_length():
+    _, x, mask, observed = make_instance(127, 4, 76, 0, min_sep=1.5 / 127)
+    with pytest.raises(ValueError, match="x_true"):
+        pgd.pgd_recover(observed, mask, shgd.SolverConfig(r=4, seed=0), x_true=x[:50])
+
+
 def test_pgd_even_length_is_native(rng):
     """Even lengths run on the (n/2, n/2+1) lift with no padding."""
     n, r, m = 126, 3, 80

@@ -45,6 +45,10 @@ def weighted_instance(rng, n=31, r=3, m=None, sigma_e=0.0):
     dict(r=2, mu=0.0),
     dict(r=2, epsilon0=1.0),
     dict(r=2, sample_splitting=True, K=0),
+    dict(r=2, max_halvings=-3),
+    dict(r=2, max_iters=-1),
+    dict(r=2, eta0_scale=-1),
+    dict(r=2, rel_change_tol=-1),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -214,6 +214,15 @@ def test_ssig_rejects_malformed_samples(tmp_path):
         signal_model.load_ssig(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ssig_rejects_nonfinite_samples(tmp_path, bad):
+    path = tmp_path / "bad.ssig.json"
+    path.write_text(json.dumps(
+        {"n": 3, "observed": [0, 2], "samples": [[1, 0], [0, 0], [bad, 0]]}))
+    with pytest.raises(ValueError, match="finite"):
+        signal_model.load_ssig(path)
+
+
 def test_smodel_roundtrip(tmp_path, rng):
     model = signal_model.random_model(63, 4, rng=rng, damped=True)
     path = tmp_path / "m.model.json"
