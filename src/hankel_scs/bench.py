@@ -13,6 +13,7 @@ depend on scheduling or worker count.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import platform
 import subprocess
 import sys
 import time
+from collections import Counter, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -31,7 +33,6 @@ SUCCESS_REL_ERR = 1e-3
 TIMING_TARGETS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 SCALING_EXPONENTS = (11, 12, 13, 14)
 
-_KINDS = ("phase", "timing", "noise")
 _SOLVERS = {"shgd": shgd.recover, "pgd": pgd.pgd_recover}
 
 
@@ -44,7 +45,9 @@ class ExperimentSpec:
     ``sigma_values`` give the noise sweep its axes).  ``solver_overrides``
     are keyword overrides applied on top of each experiment's solver
     defaults.  ``variant`` selects the timing flavor: "ratio" (SHGD vs PGD
-    time-to-target) or "scaling" (per-iteration cost vs n).
+    time-to-target) or "scaling" (per-iteration cost vs n).  ``threads``
+    parallelizes phase and noise trials; timing runs serially so that its
+    wall times are not inflated by solves competing for the cores.
     """
 
     kind: str
@@ -65,7 +68,7 @@ class ExperimentSpec:
     targets: tuple = TIMING_TARGETS
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -73,6 +76,8 @@ class ExperimentSpec:
             raise ValueError("reps must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.kind == "timing" and self.threads > 1:
+            raise ValueError("timing runs its trials serially; threads must be 1")
         if self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.variant not in ("ratio", "scaling"):
@@ -215,6 +220,75 @@ def _mean(values) -> float | None:
 
 
 # ---------------------------------------------------------------------------
+# One trial path: instance draw, solver config, failure catch, grid runner
+# ---------------------------------------------------------------------------
+
+# Solver-domain errors.  A grid trial that raises one of these is a
+# non-success, counted per class in the metadata; any other exception is a
+# bug and propagates.
+TRIAL_ERRORS = (lowrank.ConvergenceError, lowrank.RankDeficiencyError,
+                signal_model.SeparationError, np.linalg.LinAlgError)
+
+
+def _separated(spacing: float):
+    """Model generator with wrap-around separation at least ``spacing / n``."""
+    return lambda n, r, rng: signal_model.random_model(
+        n, r, rng=rng, min_sep=spacing / n
+    )
+
+
+def _draw(seed: int, key: tuple, n: int, r: int, m: int, model, sigma_e: float = 0.0):
+    """Deterministic (signal, mask, observed, solver seed) for one trial key.
+
+    ``model(n, r, rng)`` draws the ground truth from the trial's generator,
+    which then draws the mask and the noise.
+    """
+    ss = trial_seed_sequence(seed, *key)
+    rng = np.random.default_rng(ss)
+    x = signal_model.synthesize(model(n, r, rng))
+    mask = signal_model.uniform_mask(n, m, rng=rng)
+    observed = signal_model.observe(x, mask, sigma_e=sigma_e, rng=rng)
+    return x, mask, observed, solver_seed(ss)
+
+
+def _config(spec: ExperimentSpec, r: int, seed: int, defaults: dict) -> shgd.SolverConfig:
+    """An experiment's solver defaults with ``spec.solver_overrides`` on top."""
+    return shgd.SolverConfig(r=r, seed=seed, **{**defaults, **spec.solver_overrides})
+
+
+_Trial = namedtuple("_Trial", "err iters ms failure")
+
+
+def _grid_trial(spec, key, n, r, m, model, defaults, sigma_e=0.0) -> _Trial:
+    """Draw and solve one grid trial; a solver-domain error scores it failed."""
+    t0 = time.perf_counter()
+    try:
+        x, mask, observed, seed = _draw(spec.seed, key, n, r, m, model, sigma_e)
+        result = _SOLVERS[spec.solver](observed, mask, _config(spec, r, seed, defaults))
+    except TRIAL_ERRORS as exc:
+        err, iters, failure = float("inf"), None, type(exc).__name__
+    else:
+        err, iters, failure = metrics.rel_error(result.x_hat, x), result.iters, None
+    return _Trial(err, iters, (time.perf_counter() - t0) * 1e3, failure)
+
+
+def _run_grid(spec, axes, trial, row_of, columns, **meta) -> GridResult:
+    """Run ``trial(*cell, t)`` over every cell of the axes' product and trial t.
+
+    ``row_of(cell, trials)`` reduces each cell's trials to one row, in axis
+    order.  ``meta["failures"]`` counts failed trials per error class.
+    """
+    cells = list(itertools.product(*axes))
+    tasks = [(cell, t) for cell in cells for t in range(spec.trials)]
+    outcomes = _map_tasks(lambda task: trial(*task[0], task[1]), tasks, spec.threads)
+    k = spec.trials
+    rows = [row_of(cell, outcomes[i * k:(i + 1) * k]) for i, cell in enumerate(cells)]
+    failures = Counter(o.failure for o in outcomes if o.failure is not None)
+    meta = build_meta(spec, failures=dict(sorted(failures.items())), **meta)
+    return GridResult(columns=columns, rows=rows, meta=meta)
+
+
+# ---------------------------------------------------------------------------
 # Phase-transition grid
 # ---------------------------------------------------------------------------
 
@@ -223,61 +297,40 @@ PHASE_SOLVER_DEFAULTS = dict(
 )
 
 
-def _phase_trial(spec: ExperimentSpec, n: int, r: int, p: float, trial: int) -> dict:
-    m = max(1, round(p * n))
-    ss = trial_seed_sequence(spec.seed, r, round(p * 10000), trial)
-    rng = np.random.default_rng(ss)
-    t0 = time.perf_counter()
-    try:
-        model = signal_model.random_model(n, r, rng=rng, min_sep=1.0 / n)
-        x = signal_model.synthesize(model)
-        mask = signal_model.uniform_mask(n, m, rng=rng)
-        observed = signal_model.observe(x, mask, rng=rng)
-        config = shgd.SolverConfig(
-            r=r, seed=solver_seed(ss),
-            **{**PHASE_SOLVER_DEFAULTS, **spec.solver_overrides},
-        )
-        result = _SOLVERS[spec.solver](observed, mask, config)
-        err = metrics.rel_error(result.x_hat, x)
-        iters = result.iters
-    except Exception:
-        err, iters = float("inf"), None
-    ms = (time.perf_counter() - t0) * 1e3
-    return dict(r=r, p=p, m=m, success=err <= SUCCESS_REL_ERR, iters=iters, ms=ms)
-
-
 def run_phase(spec: ExperimentSpec) -> GridResult:
     """Success-probability grid over (rank, sampling ratio) cells.
 
     Each cell runs ``spec.trials`` seeded recoveries with the configured
-    solver; success means relative error at most 1e-3.  Solver failures of
-    any kind count as non-success and never abort the grid.
+    solver; success means relative error at most 1e-3.  A trial that raises
+    one of :data:`TRIAL_ERRORS` counts as non-success without aborting the
+    grid; any other exception propagates.
     """
     if spec.kind != "phase":
         raise ValueError("spec.kind must be 'phase'")
     n = spec.n or 127
     r_values = spec.r_values or tuple(range(1, 17))
     p_values = spec.p_values or tuple(round(0.1 * i, 10) for i in range(1, 10))
-    tasks = [
-        (r, p, t) for r in r_values for p in p_values for t in range(spec.trials)
-    ]
-    outcomes = _map_tasks(lambda a: _phase_trial(spec, n, *a), tasks, spec.threads)
-    cells: dict = {}
-    for rec in outcomes:
-        cells.setdefault((rec["r"], rec["p"]), []).append(rec)
-    rows = []
-    for r in r_values:
-        for p in p_values:
-            recs = cells[(r, p)]
-            rows.append(dict(
-                r=r, p=p, m=recs[0]["m"],
-                successes=sum(rec["success"] for rec in recs),
-                trials=spec.trials,
-                mean_iters=_mean([rec["iters"] for rec in recs]),
-                mean_ms=_mean([rec["ms"] for rec in recs]),
-            ))
+    model = _separated(1.0)
+
+    def m_of(p):
+        return max(1, round(p * n))
+
+    def trial(r, p, t):
+        return _grid_trial(spec, (r, round(p * 10000), t), n, r, m_of(p), model,
+                           PHASE_SOLVER_DEFAULTS)
+
+    def row_of(cell, trials):
+        r, p = cell
+        return dict(
+            r=r, p=p, m=m_of(p),
+            successes=sum(t.err <= SUCCESS_REL_ERR for t in trials),
+            trials=spec.trials,
+            mean_iters=_mean([t.iters for t in trials]),
+            mean_ms=_mean([t.ms for t in trials]),
+        )
+
     columns = ("r", "p", "m", "successes", "trials", "mean_iters", "mean_ms")
-    return GridResult(columns=columns, rows=rows, meta=build_meta(spec))
+    return _run_grid(spec, (r_values, p_values), trial, row_of, columns)
 
 
 def success_boundary(rows) -> dict:
@@ -299,22 +352,6 @@ TIMING_SOLVER_DEFAULTS = dict(
     step_policy="fixed", eta_prime=0.75, rel_change_tol=1e-9, max_iters=900
 )
 TIMING_DEFAULT = dict(n=2046, r=150, m=876)
-
-
-def _instance(spec: ExperimentSpec, n: int, r: int, m: int, trial: int):
-    """Deterministic (model, signal, mask, observed, solver seed) for a trial.
-
-    Timing experiments use the stratified generator: its separation guarantee
-    needs no rejection loop, so it stays feasible at the large ranks these
-    runs exercise.
-    """
-    ss = trial_seed_sequence(spec.seed, r, m, trial)
-    rng = np.random.default_rng(ss)
-    model = stratified_model(n, r, rng)
-    x = signal_model.synthesize(model)
-    mask = signal_model.uniform_mask(n, m, rng=rng)
-    observed = signal_model.observe(x, mask, rng=rng)
-    return x, mask, observed, solver_seed(ss)
 
 
 def _time_to_targets(result: shgd.RecoveryResult, wall_s: float, targets):
@@ -342,12 +379,13 @@ def _time_to_targets(result: shgd.RecoveryResult, wall_s: float, targets):
 def run_timing(spec: ExperimentSpec) -> GridResult:
     """Head-to-head SHGD vs PGD wall time to each target accuracy.
 
-    Both solvers see identical data and seeds per trial.  Wall times are the
-    median over ``spec.reps`` repeated solves (iteration counts are
-    deterministic across reps).  Rows carry per-solver means over trials; the
-    SHGD row of each target also carries ratio = mean_shgd / mean_pgd.  A
-    solver that missed a target in any trial gets a ``nonconverged`` flag and
-    the ratio is omitted for that target.
+    Both solvers see identical data and seeds per trial.  Trials run one
+    after another, so no solve competes with another for the cores.  Wall
+    times are the median over ``spec.reps`` repeated solves (iteration
+    counts are deterministic across reps).  Rows carry per-solver means over
+    trials; the SHGD row of each target also carries ratio = mean_shgd /
+    mean_pgd.  A solver that missed a target in any trial gets a
+    ``nonconverged`` flag and the ratio is omitted for that target.
     """
     if spec.kind != "timing":
         raise ValueError("spec.kind must be 'timing'")
@@ -356,72 +394,49 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
     n = spec.n or TIMING_DEFAULT["n"]
     r = spec.r or TIMING_DEFAULT["r"]
     m = spec.m if spec.m is not None else TIMING_DEFAULT["m"]
-    config_kwargs = {**TIMING_SOLVER_DEFAULTS, **spec.solver_overrides}
 
-    per_solver: dict = {name: [] for name in _SOLVERS}
-    fft_per_iter: dict = {name: [] for name in _SOLVERS}
-
-    def one_trial(trial: int):
-        x, mask, observed, seed = _instance(spec, n, r, m, trial)
-        config = shgd.SolverConfig(r=r, seed=seed, **config_kwargs)
+    def one_trial(trial: int) -> dict:
+        """solver -> ({target: (median seconds or None, iterations)}, passes/iter)."""
+        x, mask, observed, seed = _draw(spec.seed, (r, m, trial), n, r, m, stratified_model)
+        config = _config(spec, r, seed, TIMING_SOLVER_DEFAULTS)
         out = {}
         for name, solver_fn in _SOLVERS.items():
-            rep_times = []
-            iters_map = None
-            fft_ratio = 0.0
+            reps = []
             for _ in range(spec.reps):
                 t0 = time.perf_counter()
                 result = solver_fn(observed, mask, config, x_true=x)
-                wall = time.perf_counter() - t0
-                ttt = _time_to_targets(result, wall, spec.targets)
-                rep_times.append({t: v[0] for t, v in ttt.items()})
-                iters_map = {t: v[1] for t, v in ttt.items()}
-                fft_ratio = result.counter.fft_passes / max(result.iters, 1)
+                reps.append(_time_to_targets(result, time.perf_counter() - t0, spec.targets))
             med = {}
             for target in spec.targets:
-                times = [rep[target] for rep in rep_times]
+                times = [rep[target][0] for rep in reps]
                 med[target] = (
-                    None if any(t is None for t in times) else float(np.median(times)),
-                    iters_map[target],
+                    None if None in times else float(np.median(times)),
+                    reps[-1][target][1],
                 )
-            out[name] = (med, fft_ratio)
+            out[name] = (med, result.counter.fft_passes / max(result.iters, 1))
         return out
 
-    outcomes = _map_tasks(one_trial, list(range(spec.trials)), spec.threads)
-    for out in outcomes:
-        for name in _SOLVERS:
-            per_solver[name].append(out[name][0])
-            fft_per_iter[name].append(out[name][1])
-
+    trials = [one_trial(t) for t in range(spec.trials)]
     rows = []
-    ratio_by_target = {}
     for target in spec.targets:
-        means = {}
-        flags = {}
+        means, cells = {}, {}
         for name in _SOLVERS:
-            times = [trial[target][0] for trial in per_solver[name]]
-            iters = [trial[target][1] for trial in per_solver[name]]
-            hit = [t for t in times if t is not None]
-            means[name] = (
-                float(np.mean(hit)) * 1e3 if len(hit) == len(times) else None,
-                _mean(iters),
+            times = [out[name][0][target][0] for out in trials]
+            means[name] = None if None in times else float(np.mean(times)) * 1e3
+            cells[name] = dict(
+                solver=name, target=target, mean_ms=means[name],
+                mean_iters=_mean([out[name][0][target][1] for out in trials]),
+                ratio=None, flag="nonconverged" if None in times else None,
             )
-            flags[name] = None if len(hit) == len(times) else "nonconverged"
-        both = means["shgd"][0] is not None and means["pgd"][0] is not None
-        ratio_by_target[target] = (
-            means["shgd"][0] / means["pgd"][0] if both else None
-        )
-        for name in _SOLVERS:
-            rows.append(dict(
-                solver=name, target=target,
-                mean_ms=means[name][0], mean_iters=means[name][1],
-                ratio=ratio_by_target[target] if name == "shgd" else None,
-                flag=flags[name],
-            ))
+        if None not in means.values():
+            cells["shgd"]["ratio"] = means["shgd"] / means["pgd"]
+        rows.extend(cells.values())
     meta = build_meta(
         spec,
         n=n, r=r, m=m,
-        fft_passes_per_iter={k: _mean(v) for k, v in fft_per_iter.items()},
+        fft_passes_per_iter={
+            name: _mean([out[name][1] for out in trials]) for name in _SOLVERS
+        },
         flop_model=measure_flop_model(n, r),
     )
     columns = ("solver", "target", "mean_ms", "mean_iters", "ratio", "flag")
@@ -462,7 +477,10 @@ def measure_flop_model(n: int, r: int) -> dict:
     return {"C": C, "ratio": ratio, "t_pass_s": t_pass, "t_mac_s": t_mac}
 
 
-SCALING_DEFAULT = dict(r=30, m=512, iters=12, warmup=3)
+SCALING_SOLVER_DEFAULTS = dict(
+    step_policy="fixed", eta_prime=0.75, rel_change_tol=1e-300, max_iters=12
+)
+SCALING_DEFAULT = dict(r=30, m=512, warmup=3)
 
 
 def run_scaling(spec: ExperimentSpec) -> GridResult:
@@ -474,17 +492,13 @@ def run_scaling(spec: ExperimentSpec) -> GridResult:
     """
     r = spec.r or SCALING_DEFAULT["r"]
     m = spec.m if spec.m is not None else SCALING_DEFAULT["m"]
-    iters = int(spec.solver_overrides.get("max_iters", SCALING_DEFAULT["iters"]))
-    warmup = min(SCALING_DEFAULT["warmup"], iters - 1)
     rows = []
     for j in SCALING_EXPONENTS:
         n = 2 ** j - 2
-        x, mask, observed, seed = _instance(spec, n, r, m, 0)
-        config = shgd.SolverConfig(
-            r=r, seed=seed, step_policy="fixed", eta_prime=0.75,
-            rel_change_tol=1e-300, max_iters=iters,
-        )
+        _, mask, observed, seed = _draw(spec.seed, (r, m, 0), n, r, m, stratified_model)
+        config = _config(spec, r, seed, SCALING_SOLVER_DEFAULTS)
         result = _SOLVERS[spec.solver](observed, mask, config)
+        warmup = min(SCALING_DEFAULT["warmup"], config.max_iters - 1)
         per_iter = float(np.median([rec.ms for rec in result.history[warmup:]]))
         rows.append(dict(n=n, r=r, m=m, iters=result.iters, per_iter_ms=per_iter))
     columns = ("n", "r", "m", "iters", "per_iter_ms")
@@ -501,56 +515,47 @@ NOISE_SOLVER_DEFAULTS = dict(
 NOISE_DEFAULT = dict(n=127, r=12)
 
 
-def _noise_trial(spec, n, r, sigma, m, trial):
-    ss = trial_seed_sequence(spec.seed, r, m, trial, round(sigma * 1e6))
-    rng = np.random.default_rng(ss)
-    model = signal_model.random_model(n, r, rng=rng, min_sep=1.5 / n)
-    x = signal_model.synthesize(model)
-    mask = signal_model.uniform_mask(n, m, rng=rng)
-    observed = signal_model.observe(x, mask, sigma_e=sigma, rng=rng)
-    config = shgd.SolverConfig(
-        r=r, seed=solver_seed(ss),
-        **{**NOISE_SOLVER_DEFAULTS, **spec.solver_overrides},
-    )
-    try:
-        result = _SOLVERS[spec.solver](observed, mask, config)
-        return metrics.rel_error(result.x_hat, x)
-    except Exception:
-        return float("inf")
-
-
 def run_noise(spec: ExperimentSpec) -> GridResult:
     """Reconstruction error versus observation noise level.
 
     For each (sigma_e, m) cell runs ``spec.trials`` seeded recoveries and
-    reports the root-mean-square relative error.  The noise model scales
-    sigma_e by the observed-signal norm, so SNR in dB is -20 log10(sigma_e).
+    reports the root-mean-square relative error; a failed trial (see
+    :data:`TRIAL_ERRORS`) contributes an infinite error.  The noise model
+    scales sigma_e by the observed-signal norm, so SNR in dB is
+    -20 log10(sigma_e).
     """
     if spec.kind != "noise":
         raise ValueError("spec.kind must be 'noise'")
     n = spec.n or NOISE_DEFAULT["n"]
     r = spec.r or NOISE_DEFAULT["r"]
-    tasks = [
-        (sigma, m, t)
-        for sigma in spec.sigma_values
-        for m in spec.m_values
-        for t in range(spec.trials)
-    ]
-    errs = _map_tasks(lambda a: _noise_trial(spec, n, r, *a), tasks, spec.threads)
-    cells: dict = {}
-    for (sigma, m, _), err in zip(tasks, errs):
-        cells.setdefault((sigma, m), []).append(err)
-    rows = []
-    for sigma in spec.sigma_values:
-        for m in spec.m_values:
-            cell = np.array(cells[(sigma, m)])
-            snr_db = float("inf") if sigma == 0 else -20.0 * math.log10(sigma)
-            rows.append(dict(
-                sigma_e=sigma, snr_db=snr_db, m=m,
-                mean_rmse=float(np.sqrt(np.mean(cell ** 2))),
-            ))
+    model = _separated(1.5)
+
+    def trial(sigma, m, t):
+        return _grid_trial(spec, (r, m, t, round(sigma * 1e6)), n, r, m, model,
+                           NOISE_SOLVER_DEFAULTS, sigma_e=sigma)
+
+    def row_of(cell, trials):
+        sigma, m = cell
+        errs = np.array([t.err for t in trials])
+        snr_db = float("inf") if sigma == 0 else -20.0 * math.log10(sigma)
+        return dict(sigma_e=sigma, snr_db=snr_db, m=m,
+                    mean_rmse=float(np.sqrt(np.mean(errs ** 2))))
+
     columns = ("sigma_e", "snr_db", "m", "mean_rmse")
-    return GridResult(columns=columns, rows=rows, meta=build_meta(spec, n=n, r=r))
+    axes = (spec.sigma_values, spec.m_values)
+    return _run_grid(spec, axes, trial, row_of, columns, n=n, r=r)
+
+
+# ---------------------------------------------------------------------------
+# Experiment kinds: the one list that the spec and the CLI read
+# ---------------------------------------------------------------------------
+
+Experiment = namedtuple("Experiment", "run help")
+EXPERIMENTS = {
+    "phase": Experiment(run_phase, "success-probability grid"),
+    "timing": Experiment(run_timing, "solver timing comparison (or per-iteration scaling)"),
+    "noise": Experiment(run_noise, "noise robustness sweep"),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ noise     reconstruction error versus noise level
 selftest  invariant suite with one verdict line per property
 
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
-The ``HANKEL_SCS_THREADS`` environment variable overrides ``--threads``.
+The ``HANKEL_SCS_THREADS`` environment variable overrides ``--threads``; only
+phase and noise run trials in parallel, and timing rejects more than one.
 """
 
 from __future__ import annotations
@@ -124,13 +125,8 @@ def build_parser() -> _Parser:
     p_rec.add_argument("--max-iters", type=int, default=1000)
     _add_common(p_rec)
 
-    for kind, helptext in (
-        ("phase", "success-probability grid"),
-        ("timing", "solver timing comparison"),
-        ("noise", "noise robustness sweep"),
-    ):
-        p_exp = sub.add_parser(kind, help=helptext)
-        _add_common(p_exp)
+    for kind, experiment in bench.EXPERIMENTS.items():
+        _add_common(sub.add_parser(kind, help=experiment.help))
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     _add_common(p_self)
@@ -192,13 +188,6 @@ def _cmd_recover(args) -> int:
     return EXIT_OK if result.termination != "diverged" else EXIT_SOLVER
 
 
-_EXPERIMENTS = {
-    "phase": bench.run_phase,
-    "timing": bench.run_timing,
-    "noise": bench.run_noise,
-}
-
-
 def _cmd_experiment(args) -> int:
     overrides = _load_config(args.config)
     solver_overrides = overrides.pop("solver_overrides", {})
@@ -218,7 +207,7 @@ def _cmd_experiment(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     try:
-        result = _EXPERIMENTS[args.command](spec)
+        result = bench.EXPERIMENTS[args.command].run(spec)
     except Exception as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -253,16 +242,9 @@ def _cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "recover": _cmd_recover,
-        "phase": _cmd_experiment,
-        "timing": _cmd_experiment,
-        "noise": _cmd_experiment,
-        "selftest": _cmd_selftest,
-    }
+    handlers = {"gen": _cmd_gen, "recover": _cmd_recover, "selftest": _cmd_selftest}
     try:
-        return handlers[args.command](args)
+        return handlers.get(args.command, _cmd_experiment)(args)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -237,11 +237,12 @@ def descend(
         if config.step_policy == "fixed":
             new_state = _candidate(eta)
         else:
-            for _ in range(config.max_halvings + 1):
-                new_state = _candidate(eta)
+            new_state = _candidate(eta)
+            for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:
                     break
-                eta *= config.beta
+                eta *= config.beta  # shrink only when another trial follows
+                new_state = _candidate(eta)
             if new_state.loss > state.loss:
                 termination = "diverged"  # no decrease at the smallest step
                 history.append(IterRecord(

@@ -22,6 +22,14 @@ import scipy.linalg
 from . import hankel_ops
 
 
+# Subspace-iteration caps of both solvers' spectral inits.  An init only needs
+# the top-r subspace down to the sampling noise floor, which dominates any
+# subspace-iteration residual long before these caps bind; tighter settings
+# cost seconds at n ~ 2000 for no gain.
+INIT_TOL = 1e-6
+INIT_MAX_ROUNDS = 30
+
+
 class ConvergenceError(RuntimeError):
     """Subspace iteration failed to converge; carries the last residual."""
 
@@ -256,11 +264,7 @@ def spectral_init(observed: np.ndarray, mask, r: int, seed=None):
     p_hat = mask.m / n
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed, mask)) / p_hat
     apply, _, _ = hankel_ops.lift_operator(u, n_s)
-    # The init only needs to resolve the top-r subspace down to the sampling
-    # noise floor, which dominates any subspace-iteration residual long before
-    # these caps bind; tighter settings cost seconds at n ~ 2000 for no gain.
-    factor = takagi_truncated(
-        apply, n_s, r, seed=seed, tol=1e-6, max_rounds=30, strict=False
-    )
+    factor = takagi_truncated(apply, n_s, r, seed=seed, tol=INIT_TOL,
+                              max_rounds=INIT_MAX_ROUNDS, strict=False)
     Z0 = factor.U_hat * np.sqrt(factor.sigma)[None, :]
     return Z0, float(factor.sigma[0])

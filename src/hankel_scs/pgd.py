@@ -122,10 +122,9 @@ def rect_spectral_init(
     n_1, _ = rect_dims(n)
     p_hat = mask.m / n
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask), n_rows=n_1) / p_hat
-    # Same caps as the symmetric init: resolve the subspace to the sampling
-    # noise floor only, keeping large-instance initialization cheap.
     U, sig, V = lowrank.lift_svd(
-        u, n_1, r, seed=seed, tol=1e-6, max_rounds=30, rank_tol=1e-14
+        u, n_1, r, seed=seed, tol=lowrank.INIT_TOL,
+        max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14,
     )
     root = np.sqrt(sig)[None, :]
     return U * root, V * root, float(sig[0])

@@ -2,6 +2,7 @@
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,6 +102,23 @@ def test_phase_impossible_corner_reports_zero_without_aborting():
     assert row["m"] == 6  # far below any recoverable regime
     assert row["successes"] == 0
     assert row["trials"] == 2
+    # One trial's model draw cannot place 35 separated modes.
+    assert res.meta["failures"] == {"SeparationError": 1}
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("a bug inside the solve")
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (bench.run_phase, dict(kind="phase", n=31, r_values=(2,), p_values=(0.6,))),
+    (bench.run_noise, dict(kind="noise", n=31, r=2, sigma_values=(1e-2,),
+                           m_values=(20,))),
+])
+def test_programming_error_in_a_trial_propagates(monkeypatch, run, kwargs):
+    monkeypatch.setitem(bench._SOLVERS, "shgd", _raise_type_error)
+    with pytest.raises(TypeError, match="a bug inside the solve"):
+        run(bench.ExperimentSpec(trials=1, **kwargs))
 
 
 def test_phase_grid_row_order_and_determinism():
@@ -172,6 +190,7 @@ def test_noise_more_samples_no_worse():
     res = bench.run_noise(spec)
     rmse = {row["m"]: row["mean_rmse"] for row in res.rows}
     assert rmse[55] < rmse[30]
+    assert res.meta["failures"] == {}
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +223,15 @@ def test_timing_smoke_and_csv_contract(tmp_path):
     assert rows[1]["ratio"] == ""  # pgd rows leave the ratio cell empty
 
 
+def test_timing_rejects_threads(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="serially"):
+        bench.ExperimentSpec(kind="timing", threads=2)
+    out = str(tmp_path / "t.csv")
+    assert cli.main(["timing", "--threads", "2", "--out", out]) == 1
+    monkeypatch.setenv("HANKEL_SCS_THREADS", "2")
+    assert cli.main(["timing", "--out", out]) == 1
+
+
 def test_flop_model_ratio_within_analytic_bounds():
     out = bench.measure_flop_model(2046, 150)
     assert out["C"] > 0
@@ -218,6 +246,24 @@ def test_scaling_cost_grows_with_length():
     assert ns == [2**j - 2 for j in bench.SCALING_EXPONENTS]
     per_iter = [row["per_iter_ms"] for row in res.rows]
     assert all(b > a for a, b in zip(per_iter, per_iter[1:]))
+
+
+def test_scaling_passes_solver_overrides_to_the_solve(monkeypatch):
+    configs = []
+
+    def fake_solve(observed, mask, config):
+        configs.append(config)
+        return SimpleNamespace(iters=config.max_iters,
+                               history=[SimpleNamespace(ms=1.0)] * config.max_iters)
+
+    monkeypatch.setitem(bench._SOLVERS, "shgd", fake_solve)
+    monkeypatch.setattr(bench, "SCALING_EXPONENTS", (6, 7))
+    spec = bench.ExperimentSpec(kind="timing", variant="scaling", r=3, m=40,
+                                trials=1, solver_overrides=dict(eta_prime=0.5))
+    res = bench.run_timing(spec)
+    assert [row["n"] for row in res.rows] == [62, 126]
+    assert [c.eta_prime for c in configs] == [0.5, 0.5]
+    assert all(c.step_policy == "fixed" and c.max_iters == 12 for c in configs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +418,14 @@ def test_cli_rejects_bad_solver_overrides(tmp_path):
     config = json.dumps(dict(solver_overrides=dict(bogus=1)))
     assert cli.main(["phase", "--config", config,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_cli_offers_every_experiment_kind():
+    parser = cli.build_parser()
+    for kind in bench.EXPERIMENTS:
+        assert parser.parse_args([kind]).command == kind
+    with pytest.raises(ValueError, match="unknown experiment kind"):
+        bench.ExperimentSpec(kind="selftest")
 
 
 def test_cli_threads_env_override(tmp_path, monkeypatch):
