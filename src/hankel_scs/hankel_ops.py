@@ -166,7 +166,8 @@ def hankel_corr(
     Uses out[:, l] = ifft(fft(h) * conj(fft(conj(c_l)))) truncated to n_out,
     exact because the padded length covers every index sum.  ``cbar_spectrum``
     may carry the padded FFT of conj(C) to share transforms across kernels;
-    the logical per-column pass is counted either way.
+    then only C's column count is read.  The logical per-column pass is
+    counted either way.
     """
     h = np.asarray(h)
     C = np.asarray(C)
@@ -178,7 +179,11 @@ def hankel_corr(
     H = scipy.fft.fft(h, nfft)
     if cbar_spectrum is None:
         cbar_spectrum = scipy.fft.fft(np.conj(C), nfft, axis=0)
-    out = scipy.fft.ifft(H[:, None] * np.conj(cbar_spectrum), axis=0)[:n_out]
+    # The product and the inverse transform reuse the fresh conjugate; the
+    # caller's spectrum is never written.
+    prod = np.conj(cbar_spectrum)
+    np.multiply(H[:, None], prod, out=prod)
+    out = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[:n_out]
     if counter is not None:
         counter.add(C.shape[1])
     return out[:, 0] if single else out
@@ -276,4 +281,5 @@ def g_apply_times_conj(
     v = np.asarray(v)
     n_s = HankelDims(v.shape[0]).n_s
     u = apply_D_inv(v)
-    return hankel_corr(u, np.conj(Z), n_s, counter=counter, cbar_spectrum=z_spectrum)
+    C = Z if z_spectrum is not None else np.conj(Z)
+    return hankel_corr(u, C, n_s, counter=counter, cbar_spectrum=z_spectrum)
