@@ -47,7 +47,9 @@ class ExperimentSpec:
     defaults.  ``variant`` selects the timing flavor: "ratio" (SHGD vs PGD
     time-to-target) or "scaling" (per-iteration cost vs n).  ``threads``
     parallelizes phase and noise trials; timing runs serially so that its
-    wall times are not inflated by solves competing for the cores.
+    wall times are not inflated by solves competing for the cores.  A rank
+    that the run's signal length cannot hold (n < 2r - 1) is rejected here,
+    before any trial is solved.
     """
 
     kind: str
@@ -87,6 +89,26 @@ class ExperimentSpec:
         self.m_values = tuple(int(v) for v in self.m_values)
         self.sigma_values = tuple(float(v) for v in self.sigma_values)
         self.targets = tuple(float(v) for v in self.targets)
+        n, ranks = self.length_and_ranks()
+        for r in ranks:
+            if n < 2 * r - 1:
+                raise ValueError(
+                    f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, "
+                    f"but this {self.kind} run uses n={n}"
+                )
+
+    def length_and_ranks(self) -> tuple[int, tuple]:
+        """The signal length and the ranks that the run draws instances at,
+        defaults filled in; for the scaling ladder, its shortest rung."""
+        if self.kind == "phase":
+            return (self.n or PHASE_DEFAULT["n"],
+                    self.r_values or PHASE_DEFAULT["r_values"])
+        if self.kind == "noise":
+            return self.n or NOISE_DEFAULT["n"], (self.r or NOISE_DEFAULT["r"],)
+        if self.variant == "scaling":
+            return (2 ** min(SCALING_EXPONENTS) - 2,
+                    (self.r or SCALING_DEFAULT["r"],))
+        return self.n or TIMING_DEFAULT["n"], (self.r or TIMING_DEFAULT["r"],)
 
 
 @dataclass
@@ -295,6 +317,7 @@ def _run_grid(spec, axes, trial, row_of, columns, **meta) -> GridResult:
 PHASE_SOLVER_DEFAULTS = dict(
     step_policy="backtracking", rel_change_tol=1e-5, max_iters=200
 )
+PHASE_DEFAULT = dict(n=127, r_values=tuple(range(1, 17)))
 
 
 def run_phase(spec: ExperimentSpec) -> GridResult:
@@ -307,8 +330,7 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
     """
     if spec.kind != "phase":
         raise ValueError("spec.kind must be 'phase'")
-    n = spec.n or 127
-    r_values = spec.r_values or tuple(range(1, 17))
+    n, r_values = spec.length_and_ranks()
     p_values = spec.p_values or tuple(round(0.1 * i, 10) for i in range(1, 10))
     model = _separated(1.0)
 
@@ -391,8 +413,7 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
         raise ValueError("spec.kind must be 'timing'")
     if spec.variant == "scaling":
         return run_scaling(spec)
-    n = spec.n or TIMING_DEFAULT["n"]
-    r = spec.r or TIMING_DEFAULT["r"]
+    n, (r,) = spec.length_and_ranks()
     m = spec.m if spec.m is not None else TIMING_DEFAULT["m"]
 
     def one_trial(trial: int) -> dict:
@@ -526,8 +547,7 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
     """
     if spec.kind != "noise":
         raise ValueError("spec.kind must be 'noise'")
-    n = spec.n or NOISE_DEFAULT["n"]
-    r = spec.r or NOISE_DEFAULT["r"]
+    n, (r,) = spec.length_and_ranks()
     model = _separated(1.5)
 
     def trial(sigma, m, t):

@@ -10,6 +10,7 @@ noise     reconstruction error versus noise level
 selftest  invariant suite with one verdict line per property
 
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
+Any other error is a bug and ends the command with its traceback.
 The ``HANKEL_SCS_THREADS`` environment variable overrides ``--threads``; only
 phase and noise run trials in parallel, and timing rejects more than one.
 """
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_SELFTEST = 3
+
+# What a solve or an experiment may raise on bad data or a hard instance;
+# these exit with EXIT_SOLVER.  Any other exception is a bug and propagates.
+SOLVER_ERRORS = (ValueError, *bench.TRIAL_ERRORS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +178,7 @@ def _cmd_recover(args) -> int:
     solve = shgd.recover if args.solver == "shgd" else pgd.pgd_recover
     try:
         result = solve(observed, mask, config)
-    except Exception as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = args.out or "result.json"
@@ -208,7 +213,7 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     try:
         result = bench.EXPERIMENTS[args.command].run(spec)
-    except Exception as exc:
+    except SOLVER_ERRORS as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = args.out or f"{args.command}.csv"

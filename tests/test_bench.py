@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankel_scs import bench, cli, signal_model
+from hankel_scs import bench, cli, shgd, signal_model
 
 TINY_PHASE = dict(
     n=31, r_values=(1, 2), p_values=(0.5, 0.9), trials=2,
@@ -119,6 +119,23 @@ def test_programming_error_in_a_trial_propagates(monkeypatch, run, kwargs):
     monkeypatch.setitem(bench._SOLVERS, "shgd", _raise_type_error)
     with pytest.raises(TypeError, match="a bug inside the solve"):
         run(bench.ExperimentSpec(trials=1, **kwargs))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="phase", n=31, r_values=(2, 20), p_values=(0.5,)),
+    dict(kind="phase", n=21),  # default ranks run up to 16
+    dict(kind="noise", n=31, r=17),
+    dict(kind="timing", n=31, r=17),
+    dict(kind="timing", variant="scaling", r=1024),  # shortest rung n=2046
+])
+def test_spec_rejects_ranks_the_signal_length_cannot_hold(kwargs):
+    with pytest.raises(ValueError, match=r"n >= 2r-1"):
+        bench.ExperimentSpec(trials=1, **kwargs)
+
+
+def test_spec_accepts_the_largest_rank_that_fits():
+    bench.ExperimentSpec(kind="phase", n=31, r_values=(16,), p_values=(0.5,))
+    bench.ExperimentSpec(kind="timing", variant="scaling", r=1023)
 
 
 def test_phase_grid_row_order_and_determinism():
@@ -412,6 +429,32 @@ def test_cli_noise_csv(tmp_path):
     assert cli.main(["noise", "--config", config, "--out", str(out)]) == 0
     cols, _ = bench.read_csv_rows(out)
     assert cols == ("sigma_e", "snr_db", "m", "mean_rmse")
+
+
+def test_cli_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
+    monkeypatch.setitem(bench._SOLVERS, "shgd", _raise_type_error)
+    config = json.dumps(dict(n=31, r_values=[20], p_values=[0.5], trials=1))
+    out = tmp_path / "x.csv"
+    assert cli.main(["phase", "--config", config, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cli_programming_error_propagates_from_recover(tmp_path, monkeypatch):
+    sig = tmp_path / "sig.ssig.json"
+    assert cli.main(["gen", "--n", "31", "--rank", "2", "--m", "20",
+                     "--seed", "0", "--out", str(sig)]) == 0
+    monkeypatch.setattr(shgd, "recover", _raise_type_error)
+    with pytest.raises(TypeError, match="a bug inside the solve"):
+        cli.main(["recover", "--input", str(sig), "--rank", "2",
+                  "--out", str(tmp_path / "r.json")])
+
+
+def test_cli_programming_error_propagates_from_phase(tmp_path, monkeypatch):
+    monkeypatch.setitem(bench._SOLVERS, "shgd", _raise_type_error)
+    config = json.dumps(dict(n=31, r_values=[2], p_values=[0.6], trials=1))
+    with pytest.raises(TypeError, match="a bug inside the solve"):
+        cli.main(["phase", "--config", config,
+                  "--out", str(tmp_path / "x.csv")])
 
 
 def test_cli_rejects_bad_solver_overrides(tmp_path):

@@ -1,10 +1,12 @@
 """Truncated SVD, truncated Takagi factorization, and spectral initialization."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from hankel_scs import hankel_ops, lowrank, signal_model
-from conftest import rand_complex, rel
+from hankel_scs import hankel_ops, lowrank, pgd, signal_model
+from conftest import make_instance, rand_complex, rel
 
 
 def matvec_pair(M):
@@ -184,6 +186,41 @@ def test_spectral_init_full_mask_is_exact(rng):
     Gy = hankel_ops.lift_dense(x)  # G y = H x when y = D x
     assert rel(Z0 @ Z0.T, Gy) <= 1e-8
     assert sigma1 == pytest.approx(np.linalg.svd(Gy, compute_uv=False)[0], rel=1e-6)
+
+
+def _count_subspace_rounds(monkeypatch) -> list:
+    """Wrap ``lowrank.trunc_svd`` so each call appends its number of subspace
+    rounds, counted as calls of its ``applyH`` (one per round)."""
+    rounds = []
+    trunc_svd = lowrank.trunc_svd
+    signature = inspect.signature(trunc_svd)
+
+    def counted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        applyH = bound.arguments["applyH"]
+        rounds.append(0)
+
+        def counted_applyH(U):
+            rounds[-1] += 1
+            return applyH(U)
+
+        bound.arguments["applyH"] = counted_applyH
+        return trunc_svd(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(lowrank, "trunc_svd", counted)
+    return rounds
+
+
+def test_both_inits_spend_the_round_budget_when_undersampled(monkeypatch):
+    """At m = 0.3 n the sampled lift has no spectral gap at r, so neither init
+    reaches INIT_TOL: each stops after exactly the 4-round budget."""
+    n, r, m = 127, 4, 38
+    _, _, mask, observed = make_instance(n, r, m, 1, min_sep=1.5 / n)
+    y = hankel_ops.apply_D(observed)
+    rounds = _count_subspace_rounds(monkeypatch)
+    lowrank.spectral_init(y, mask, r, seed=0)
+    pgd.rect_spectral_init(y, mask, r, seed=0)
+    assert rounds == [4, 4]
 
 
 def test_spectral_init_partial_mask_sanity_band():
