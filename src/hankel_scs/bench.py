@@ -44,7 +44,7 @@ class ExperimentSpec:
     operating point of timing and noise runs (``m_values`` and
     ``sigma_values`` give the noise sweep its axes).  ``solver_overrides``
     are keyword overrides applied on top of each experiment's solver
-    defaults.  ``variant`` selects the timing flavor: "ratio" (SHGD vs PGD
+    defaults; they may not set ``r`` or ``seed``, which each trial sets.  ``variant`` selects the timing flavor: "ratio" (SHGD vs PGD
     time-to-target) or "scaling" (per-iteration cost vs n).  ``threads``
     parallelizes phase and noise trials; timing runs serially so that its
     wall times are not inflated by solves competing for the cores.  A rank
@@ -84,6 +84,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.variant not in ("ratio", "scaling"):
             raise ValueError(f"unknown timing variant {self.variant!r}")
+        reserved = sorted({"r", "seed"} & set(self.solver_overrides))
+        if reserved:
+            raise ValueError(f"solver_overrides cannot set {reserved}: "
+                             "each trial sets its own rank and seed")
+        try:
+            shgd.SolverConfig(r=1, **self.solver_overrides)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad solver_overrides: {exc}") from exc
         self.r_values = tuple(int(v) for v in self.r_values)
         self.p_values = tuple(float(v) for v in self.p_values)
         self.m_values = tuple(int(v) for v in self.m_values)

@@ -195,16 +195,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = _load_config(args.config)
-    solver_overrides = overrides.pop("solver_overrides", {})
-    try:
-        probe = dict(solver_overrides)
-        probe.pop("r", None)
-        shgd.SolverConfig(r=1, **probe)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad solver_overrides: {exc}") from exc
     spec_kwargs = dict(
         kind=args.command, seed=args.seed, threads=_resolve_threads(args),
-        solver_overrides=solver_overrides,
     )
     spec_kwargs.update(overrides)
     try:

@@ -2,11 +2,15 @@
 
 A complex symmetric matrix M (M = M^T, not Hermitian) admits the Takagi
 factorization M = U Sigma U^T with unitary U and nonnegative Sigma -- an
-SVD in symmetric form.  The truncated variant here reduces the problem to a
-dense r x r core: compute a randomized truncated SVD M ~ U Sigma V^H, form
-the complex symmetric core S = U^H M conj(U), Takagi-factorize S densely
-(SVD plus a symmetric-unitary square-root correction, valid for clustered
-singular values), and rotate U by the core's Takagi basis.
+SVD in symmetric form (Horn & Johnson, Matrix Analysis, 2nd ed., sec. 4.4).
+The truncated variant here reduces the problem to a dense r x r core:
+compute a randomized truncated SVD M ~ U Sigma V^H, form the complex
+symmetric core S = U^H M conj(U), Takagi-factorize S, and rotate U by the
+core's Takagi basis.  The core needs one real symmetric eigenproblem: with
+S = A + iB, the vector q = x - iy satisfies S conj(q) = s q exactly when
+[x; y] is an eigenvector of K = [[A, -B], [-B, -A]] with eigenvalue s.  K's
+spectrum is +-s, so the eigenvectors of its r largest eigenvalues are
+orthonormal Takagi vectors, for clustered values too and at any scale.
 
 All routines consume matrix-action oracles, never dense matrices, so they
 scale to FFT-backed Hankel lifts.
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import hankel_ops
 
@@ -43,6 +46,11 @@ from . import hankel_ops
 # early exit, for lifts that are exactly rank r, such as full sampling.
 INIT_TOL = 1e-6
 INIT_MAX_ROUNDS = 4
+
+# trunc_svd's block size is r + OVERSAMPLE; it checks convergence only after
+# POWER_ITERS power rounds.
+OVERSAMPLE = 10
+POWER_ITERS = 2
 
 
 class ConvergenceError(RuntimeError):
@@ -71,8 +79,6 @@ def trunc_svd(
     dims: tuple[int, int],
     r: int,
     seed=None,
-    oversample: int = 10,
-    power_iters: int = 2,
     tol: float = 1e-10,
     max_rounds: int = 200,
     strict: bool = True,
@@ -87,12 +93,10 @@ def trunc_svd(
     r : target rank, r <= min(dims).
     seed : int seed or numpy Generator; the draw of the test block is the
         only source of randomness, so results are deterministic given it.
-    oversample, power_iters : block size r + oversample; minimum number of
-        power rounds before convergence checks.
     tol : declare convergence when every top-r Ritz pair satisfies
         ||M^H u_i - sigma_i v_i|| <= tol * sigma_1.
     max_rounds : failure (or best-effort return when ``strict`` is false)
-        after this many power rounds.
+        after this many power rounds; at least 1.
 
     Returns
     -------
@@ -101,8 +105,10 @@ def trunc_svd(
     n_rows, n_cols = dims
     if not 1 <= r <= min(n_rows, n_cols):
         raise ValueError(f"need 1 <= r <= min(dims), got r={r}, dims={dims}")
+    if max_rounds < 1:
+        raise ValueError(f"need max_rounds >= 1, got {max_rounds}")
     rng = np.random.default_rng(seed)
-    b = min(r + oversample, n_rows, n_cols)
+    b = min(r + OVERSAMPLE, n_rows, n_cols)
     omega = rng.standard_normal((n_cols, b)) + 1j * rng.standard_normal((n_cols, b))
     Q, _ = np.linalg.qr(apply(omega))
     prev = None
@@ -116,7 +122,7 @@ def trunc_svd(
                 break
             pair_res = W @ Ub[:, :r] - V[:, :r] * sig[:r]
             resid = np.linalg.norm(pair_res, axis=0).max() / sig[0]
-            if rnd > power_iters and resid <= tol:
+            if rnd > POWER_ITERS and resid <= tol:
                 break
         P, _ = np.linalg.qr(W)
         Y = apply(P)
@@ -134,6 +140,16 @@ def trunc_svd(
     return Q @ Ub[:, :r], sig[:r].copy(), V[:, :r]
 
 
+def _check_rank(sig: np.ndarray, r: int, rank_tol: float, what: str):
+    """Raise :class:`RankDeficiencyError` unless sigma_r > rank_tol * sigma_1."""
+    if sig[0] <= 0 or sig[r - 1] <= rank_tol * sig[0]:
+        ratio = 0.0 if sig[0] <= 0 else sig[r - 1] / sig[0]
+        raise RankDeficiencyError(
+            f"{what} has numerical rank below r={r} "
+            f"(sigma_r/sigma_1 = {ratio:.2e}); try a smaller rank"
+        )
+
+
 def lift_svd(u: np.ndarray, n_rows: int, r: int, seed, tol: float,
              max_rounds: int, rank_tol: float):
     """Best-effort rank-r SVD of the rectangular Hankel lift H(u), rank-checked.
@@ -146,47 +162,8 @@ def lift_svd(u: np.ndarray, n_rows: int, r: int, seed, tol: float,
         apply, applyH, dims, r, seed=seed,
         tol=tol, max_rounds=max_rounds, strict=False,
     )
-    if sig[r - 1] <= rank_tol * max(sig[0], 1e-300):
-        raise RankDeficiencyError(
-            f"Hankel lift has numerical rank below {r}; try a smaller rank"
-        )
+    _check_rank(sig, r, rank_tol, "Hankel lift")
     return U, sig, V
-
-
-def _cluster_slices(sigma: np.ndarray, rel_gap: float = 1e-8):
-    """Group nonincreasing singular values into clusters of near-equal value."""
-    scale = sigma[0] if sigma[0] > 0 else 1.0
-    slices = []
-    start = 0
-    for i in range(1, len(sigma)):
-        if sigma[start] - sigma[i] > rel_gap * scale:
-            slices.append(slice(start, i))
-            start = i
-    slices.append(slice(start, len(sigma)))
-    return slices
-
-
-def _dense_takagi_core(S: np.ndarray):
-    """Takagi factorization S = Q diag(s) Q^T of a dense complex symmetric core.
-
-    Uses the SVD S = V diag(s) W^H; B = V^H conj(W) is block-diagonal
-    symmetric unitary within singular-value clusters, and its principal
-    square root rotates V into Takagi form.  Valid for clustered values.
-    """
-    r = S.shape[0]
-    V, s, Wh = np.linalg.svd(S)
-    B = V.conj().T @ Wh.T
-    Qcorr = np.zeros((r, r), dtype=complex)
-    for sl in _cluster_slices(s):
-        if s[sl.start] <= 1e-14 * max(s[0], 1.0):
-            Qcorr[sl, sl] = np.eye(sl.stop - sl.start)
-            continue
-        blk = B[sl, sl]
-        blk = 0.5 * (blk + blk.T)
-        root = scipy.linalg.sqrtm(blk)
-        Qcorr[sl, sl] = 0.5 * (root + root.T)
-    Q = V @ Qcorr
-    return Q, s
 
 
 def takagi_truncated(
@@ -194,8 +171,6 @@ def takagi_truncated(
     n_s: int,
     r: int,
     seed=None,
-    oversample: int = 10,
-    power_iters: int = 2,
     tol: float = 1e-10,
     max_rounds: int = 200,
     strict: bool = True,
@@ -230,28 +205,18 @@ def takagi_truncated(
         )
 
     U, sig, _ = trunc_svd(
-        apply,
-        applyH,
-        (n_s, n_s),
-        r,
-        seed=rng,
-        oversample=oversample,
-        power_iters=power_iters,
-        tol=tol,
-        max_rounds=max_rounds,
-        strict=strict,
+        apply, applyH, (n_s, n_s), r, seed=rng,
+        tol=tol, max_rounds=max_rounds, strict=strict,
     )
-    if sig[0] <= 0 or sig[r - 1] <= 1e-14 * sig[0]:
-        raise RankDeficiencyError(
-            f"numerical rank below requested r={r} "
-            f"(sigma_r/sigma_1 = {0.0 if sig[0] <= 0 else sig[r - 1] / sig[0]:.2e}); "
-            "try a smaller rank"
-        )
-    MU = apply(np.conj(U))
-    S = U.conj().T @ MU
+    _check_rank(sig, r, 1e-14, "operator")
+    S = U.conj().T @ apply(np.conj(U))
     S = 0.5 * (S + S.T)
-    Qcore, sigma = _dense_takagi_core(S)
-    U_hat = U @ Qcore
+    # Takagi core S = Q diag(sigma) Q^T (see the module docstring): the r
+    # largest eigenpairs [x; y] of K give Q = x - iy.
+    w, E = np.linalg.eigh(np.block([[S.real, -S.imag], [-S.imag, -S.real]]))
+    sigma = w[r:][::-1]
+    E = E[:, r:][:, ::-1]
+    U_hat = U @ (E[:r] - 1j * E[r:])
     gram_err = np.linalg.norm(U_hat.conj().T @ U_hat - np.eye(r))
     if gram_err > 1e-10:
         raise ConvergenceError(

@@ -458,9 +458,13 @@ def test_cli_programming_error_propagates_from_phase(tmp_path, monkeypatch):
 
 
 def test_cli_rejects_bad_solver_overrides(tmp_path):
-    config = json.dumps(dict(solver_overrides=dict(bogus=1)))
-    assert cli.main(["phase", "--config", config,
-                     "--out", str(tmp_path / "x.csv")]) == 1
+    # An unknown field, and the two that each trial sets itself.
+    for overrides in (dict(bogus=1), dict(r=5), dict(seed=3)):
+        config = json.dumps(dict(solver_overrides=overrides))
+        assert cli.main(["phase", "--config", config,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        with pytest.raises(ValueError, match="solver_overrides"):
+            bench.ExperimentSpec(kind="phase", solver_overrides=overrides)
 
 
 def test_cli_offers_every_experiment_kind():

@@ -19,6 +19,21 @@ def test_solvers_reject_nonfinite_samples(solve, bad):
         solve(observed, mask, shgd.SolverConfig(r=3, seed=0))
 
 
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100])
+def test_solvers_are_scale_equivariant(solve, scale):
+    # recover(s * y) = s * recover(y) to rounding, in the same number of
+    # iterations.  Below about 1e-160 the quartic loss underflows.
+    for seed in (1, 2, 3):
+        _, x, mask, observed = make_instance(127, 4, 76, seed)
+        config = shgd.SolverConfig(r=4, seed=0)
+        base = solve(observed, mask, config)
+        scaled = solve(scale * observed, mask, config)
+        assert (scaled.iters, scaled.termination) == (base.iters, base.termination)
+        err = np.linalg.norm(scaled.x_hat / scale - base.x_hat)
+        assert err <= 1e-12 * np.linalg.norm(base.x_hat)
+
+
 @pytest.mark.parametrize("max_halvings", [0, 1, 3])
 def test_recorded_armijo_step_is_the_last_step_tried(max_halvings):
     # A first step at eta0_scale=50 fails every Armijo test, so all

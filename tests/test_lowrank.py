@@ -81,6 +81,14 @@ def test_trunc_svd_deterministic(rng):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_trunc_svd_rejects_an_empty_round_budget(rng, strict):
+    apply, applyH = matvec_pair(rand_complex(rng, 10, 10))
+    with pytest.raises(ValueError, match="max_rounds"):
+        lowrank.trunc_svd(apply, applyH, (10, 10), 2, seed=0,
+                          max_rounds=0, strict=strict)
+
+
 def test_trunc_svd_strict_nonconvergence_raises(rng):
     M = rand_complex(rng, 60, 60)  # full-rank noise: slow tail convergence
     apply, applyH = matvec_pair(M)
@@ -137,15 +145,25 @@ def test_takagi_matches_truncated_svd_error(rng):
 
 
 def test_takagi_handles_singular_value_clusters(rng):
-    """Repeated singular values: reconstruction must still be symmetric-exact."""
+    """Repeated, nearly repeated and tiny singular values: the reconstruction
+    is still symmetric-exact, or the best rank-r approximation."""
     U, _ = np.linalg.qr(rand_complex(rng, 16, 5))
-    s = np.array([3.0, 2.0, 2.0, 2.0, 1.0])
-    M = U @ np.diag(s) @ U.T
-    M = 0.5 * (M + M.T)
-    fac = lowrank.takagi_truncated(lambda V: M @ V, 16, 5, seed=0)
-    recon = fac.U_hat @ np.diag(fac.sigma) @ fac.U_hat.T
-    assert np.allclose(fac.sigma, s, atol=1e-8)
-    assert np.linalg.norm(recon - M) <= 1e-8 * np.linalg.norm(M)
+    for s in ([3.0, 2.0, 2.0, 2.0, 1.0], [3.0, 2.0 + 1e-7, 2.0, 2.0 - 1e-7, 1.0]):
+        s = np.array(s)
+        M = U @ np.diag(s) @ U.T
+        M = 0.5 * (M + M.T)
+        fac = lowrank.takagi_truncated(lambda V: M @ V, 16, 5, seed=0)
+        recon = fac.U_hat @ np.diag(fac.sigma) @ fac.U_hat.T
+        assert np.allclose(fac.sigma, s, atol=1e-8)
+        assert np.linalg.norm(recon - M) <= 1e-12 * np.linalg.norm(M)
+    # A full-rank operator at scale 1e-20: no absolute floor may treat its
+    # values as zero.
+    seed_mat = rand_complex(rng, 12, 12)
+    M = 1e-20 * (seed_mat + seed_mat.T)
+    fac = lowrank.takagi_truncated(lambda V: M @ V, 12, 4, seed=0)
+    err = np.linalg.norm(M - fac.U_hat @ np.diag(fac.sigma) @ fac.U_hat.T)
+    best = np.linalg.norm(np.linalg.svd(M, compute_uv=False)[4:])
+    assert abs(err - best) <= 1e-8 * best
 
 
 def test_takagi_rejects_asymmetric_operator(rng):
