@@ -186,6 +186,7 @@ def _cmd_recover(args) -> int:
     last = result.history[-1] if result.history else None
     print(
         f"{args.solver}: {result.termination} after {result.iters} iterations"
+        f" ({result.single_iters} in complex64)"
         + (f", final loss {last.loss:.3e}, rel_change {last.rel_change:.3e}"
            if last else "")
         + f"; wrote {out}"

@@ -8,6 +8,36 @@ holds what they share: the configuration and result types, the input checks
 at the solver boundary, mask splitting, the loss terms, the step rule and
 the iteration loop (:func:`descend`).  Each solver passes its factorization
 in as callbacks: evaluation, gradient, projection and signal read-back.
+
+Normalization.  :func:`check_inputs` divides the observations by a power of
+four S near their largest magnitude, so the solvers always see O(1) data and
+the quartic loss neither underflows nor overflows; :func:`descend` rescales
+what it returns (``x_hat`` and ``sigma1_M0`` by S, the factors by sqrt(S),
+each loss by S^2, each step by 1/S, each balancing gap by S).  Scaling by a
+power of four is exact, square root included, so a double-precision solve
+gives the same bits as the same solve on unscaled data, up to that scale.
+
+Precision schedule.  A solve with ``step_policy == "fixed"`` and
+``rel_change_tol`` below :data:`SINGLE_UNTIL` runs its first iterations in
+complex64: the early, inaccurate iterates do not need double precision, and
+single-precision FFTs and grams cost about half as much.  The complex64
+phase ends after the first iteration whose ``rel_change`` is at most
+:data:`SINGLE_UNTIL`, or after :data:`STALL_ITERS` iterations in a row
+without a new low of ``rel_change`` (the stall rule: single precision can
+stop making progress above the switch point, and a solve must never stall
+out there).  The stall rule waits for a run of iterations, not one rise,
+because ``rel_change`` is not monotone even in exact arithmetic: at the
+paper's timing point it rises for up to 14 iterations in a row, two or
+three times per solve, long before it reaches 1e-5.  The next iteration
+casts the iterate to complex128, evaluates it once more and goes on in
+double precision under the unchanged stopping rule; ``tol_reached`` is only
+ever decided in double precision.  Backtracking solves never leave complex128:
+Armijo compares losses that single precision cannot resolve near the switch.
+Looser tolerances would leave nothing to finish in double precision, so they
+also run in complex128 throughout.  ``RecoveryResult.single_iters`` counts the
+complex64 iterations.  A fixed-step run shorter than its complex64 phase,
+such as the 12 iterations of ``bench.run_scaling``, runs and times complex64
+iterations only.
 """
 
 from __future__ import annotations
@@ -15,12 +45,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import hankel_ops
 from .signal_model import SamplingMask
+
+SINGLE_UNTIL = 1e-5  # rel_change that ends a fixed-step solve's complex64 phase
+STALL_ITERS = 25  # complex64 iterations without a new low of rel_change that end it too
 
 
 @dataclass
@@ -99,6 +132,7 @@ class RecoveryResult:
     sigma1_M0: float = 0.0
     mu: float = 0.0
     counter: hankel_ops.OpCounter = field(default_factory=hankel_ops.OpCounter)
+    single_iters: int = 0  # iterations run in complex64
 
 
 @dataclass
@@ -125,8 +159,13 @@ def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
 
 
 def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
-    """Clip factor rows to 2-norm ``radius`` (idempotent)."""
+    """Clip factor rows to 2-norm ``radius`` (idempotent).
+
+    ``Z`` itself comes back when no row is longer than ``radius``.
+    """
     norms = np.linalg.norm(Z, axis=1)
+    if not (norms > radius).any():
+        return Z
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(norms > radius, radius / norms, 1.0)
     return Z * scale[:, None]
@@ -140,19 +179,37 @@ def max_row_energy(F: np.ndarray) -> float:
     return float((np.abs(U0) ** 2).sum(axis=1).max())
 
 
+def data_scale(observed: np.ndarray) -> float:
+    """Power of four S with max |observed| / S in [1/2, 2); 1 for zero data.
+
+    The exponent is clipped so that S, 1/S and sqrt(S) are normal floats.
+    """
+    peak = float(np.abs(observed).max()) if observed.size else 0.0
+    if peak == 0.0:
+        return 1.0
+    half_exp = min(max(math.frexp(peak)[1] // 2, -500), 500)
+    return math.ldexp(1.0, 2 * half_exp)
+
+
 def check_inputs(observed, mask: SamplingMask, x_true=None):
-    """Validate a solver's inputs; returns (observed, truth) as complex arrays."""
+    """Validate a solver's inputs and normalize them.
+
+    Returns (observed / S, truth / S, S) with complex arrays and S from
+    :func:`data_scale`; truth is None when ``x_true`` is.
+    """
     observed = np.asarray(observed, dtype=complex)
     if observed.shape[0] != mask.n:
         raise ValueError("observation length and mask ambient length differ")
     if not np.isfinite(observed).all():
         raise ValueError("observed samples must be finite")
+    scale = data_scale(observed)
     truth = None
     if x_true is not None:
         truth = np.asarray(x_true, dtype=complex)
         if truth.shape[0] != observed.shape[0]:
             raise ValueError("x_true length must match the observation length")
-    return observed, truth
+        truth = truth / scale
+    return observed / scale, truth, scale
 
 
 def split_for_iterations(mask: SamplingMask, config: SolverConfig):
@@ -180,6 +237,13 @@ def make_state(Zs, g, m_norm2, y_obs, counts, p, aux, extra_loss=0.0) -> State:
     return State(Zs, g, masked, max(data + pen + extra_loss, 0.0), aux)
 
 
+def _phase_data(y_obs, iter_counts, dtype):
+    """``y_obs`` and the per-iteration counts cast once for a phase in ``dtype``."""
+    real = np.float32 if dtype == np.complex64 else np.float64
+    counts = [(c.astype(real, copy=False), p) for c, p in iter_counts]
+    return y_obs.astype(dtype, copy=False), counts
+
+
 def descend(
     *,
     evaluate,
@@ -187,11 +251,13 @@ def descend(
     project,
     signal_of,
     Zs0,
+    y_obs,
     iter_counts,
     config: SolverConfig,
     sigma1: float,
     n_out: int,
     factor_of,
+    scale: float = 1.0,
     step_scale: float = 1.0,
     mu: float = 0.0,
     truth=None,
@@ -199,44 +265,56 @@ def descend(
 ) -> RecoveryResult:
     """Projected-gradient loop shared by the one- and two-factor solvers.
 
-    ``evaluate(Zs, counts, p, counter)`` returns a :class:`State`,
+    ``evaluate(Zs, y_obs, counts, p, counter)`` returns a :class:`State`,
     ``gradient(state, p, counter)`` the per-factor gradients, ``project(Zs)``
     the factors on the constraint set (skipped with ``config.projection``
     off) and ``signal_of(state)`` the sample-domain iterate.  The first step
     is ``step_scale`` times the configured numerator over ``sigma1``.  The
     result keeps ``n_out`` samples and ``factor_of(Zs)`` as ``Z_final``;
-    ``gap_of(state)`` fills each record's balancing gap.
+    ``gap_of(state)`` fills each record's balancing gap.  Inputs are in
+    units of the data scale ``scale`` (see :func:`check_inputs`), and the
+    result is rescaled to the caller's units; the precision schedule is in
+    the module docstring.
     """
     if not config.projection:
         project = lambda Zs: Zs  # noqa: E731
     counter = hankel_ops.OpCounter()
     numerator = config.eta_prime if config.step_policy == "fixed" else config.eta0_scale
     eta0 = fixed_step(sigma1, step_scale * numerator)
+    mixed = config.step_policy == "fixed" and config.rel_change_tol < SINGLE_UNTIL
+    dtype = np.complex64 if mixed else np.complex128
+    y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
 
-    counts, p = iter_counts[0]
-    state = evaluate(project(Zs0), counts, p, counter)
+    counts, p = phase_counts[0]
+    Zs = tuple(Z.astype(dtype, copy=False) for Z in Zs0)
+    state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
     x_prev = signal_of(state)
     history: list[IterRecord] = []
     termination = "max_iters"
+    single_iters = since_low = 0
+    lowest = float("inf")
 
     for k in range(config.max_iters):
         t0 = time.perf_counter()
         passes0 = counter.fft_passes
-        if len(iter_counts) > 1:
-            counts, p = iter_counts[k % len(iter_counts)]
-            state = evaluate(state.Zs, counts, p, counter)
+        if len(phase_counts) > 1 or state.Zs[0].dtype != dtype:
+            # A new split part, or the first double-precision iteration.
+            counts, p = phase_counts[k % len(phase_counts)]
+            Zs = tuple(Z.astype(dtype, copy=False) for Z in state.Zs)
+            state = evaluate(Zs, y, counts, p, counter)
+            x_prev = signal_of(state)
         grads = gradient(state, p, counter)
-        gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
 
         def _candidate(eta):
             Zs = tuple(Z - eta * gz for Z, gz in zip(state.Zs, grads))
-            return evaluate(project(Zs), counts, p, counter)
+            return evaluate(project(Zs), y, counts, p, counter)
 
         eta = eta0
         if config.step_policy == "fixed":
             new_state = _candidate(eta)
         else:
+            gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
             new_state = _candidate(eta)
             for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:
@@ -278,22 +356,38 @@ def descend(
             termination = "diverged"  # keep the last finite iterate
             break
         state, x_prev = new_state, x_new
-        if rel_change <= config.rel_change_tol:
+        if dtype == np.complex64:
+            # The tolerance lies below SINGLE_UNTIL, so it is never reached
+            # before this phase ends.
+            single_iters += 1
+            lowest, since_low = (rel_change, 0) if rel_change < lowest else (lowest, since_low + 1)
+            if rel_change <= SINGLE_UNTIL or since_low >= STALL_ITERS:
+                dtype = np.complex128
+                y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
+        elif rel_change <= config.rel_change_tol:
             termination = "tol_reached"
             break
         if new_state.loss > 1e6 * loss_init + 1e-300:
             termination = "diverged"
             break
 
+    # Back to the caller's units; every factor is a power of two, so exact.
+    root = math.sqrt(scale)
+    for rec in history:
+        rec.loss = rec.loss * scale * scale
+        rec.step = rec.step / scale
+        if rec.balancing_gap is not None:
+            rec.balancing_gap = rec.balancing_gap * scale
     return RecoveryResult(
-        x_hat=x_prev[:n_out],
-        Z_final=factor_of(state.Zs),
+        x_hat=x_prev[:n_out].astype(complex, copy=False) * scale,
+        Z_final=factor_of(tuple(Z.astype(complex, copy=False) * root for Z in state.Zs)),
         iters=len(history),
         history=history,
         termination=termination,
-        sigma1_M0=sigma1,
+        sigma1_M0=sigma1 * scale,
         mu=mu,
         counter=counter,
+        single_iters=single_iters,
     )
 
 
@@ -320,7 +414,11 @@ def result_to_dict(result: RecoveryResult) -> dict:
     return {
         "x_hat": [[float(v.real), float(v.imag)] for v in result.x_hat],
         "iters": result.iters,
+        "single_iters": result.single_iters,
         "termination": result.termination,
+        "sigma1_M0": _num(result.sigma1_M0),
+        "mu": _num(result.mu),
+        "counter": asdict(result.counter),
         "history": hist,
     }
 

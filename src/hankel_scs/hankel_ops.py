@@ -10,7 +10,9 @@ D^{-1}H*(A B^T) and H(D^{-1}v) C -- are computed by per-column FFT
 convolutions of length next-pow2 >= n.
 
 Rectangular lifts (n_rows + n_cols - 1 = n) are supported throughout so the
-asymmetric-factorization baseline can share the kernels.
+asymmetric-factorization baseline can share the kernels.  Every kernel keeps
+the precision of its input: complex64 factors give complex64 results, with
+the skew-diagonal weights cached once per precision.
 """
 
 from __future__ import annotations
@@ -59,24 +61,32 @@ def _fft_len(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
+def _real_dtype(a: np.ndarray) -> np.dtype:
+    """float32 for single-precision arrays, float64 for everything else."""
+    single = a.dtype in (np.float32, np.complex64)
+    return np.dtype(np.float32 if single else np.float64)
+
+
 @lru_cache(maxsize=64)
-def _weights(n_rows: int, n_cols: int):
-    """Skew-diagonal lengths and their (inverse) square roots, cached."""
+def _weights(n_rows: int, n_cols: int, dtype: np.dtype = np.dtype(np.float64)):
+    """Skew-diagonal lengths and their (inverse) square roots in ``dtype``,
+    computed in double precision and cached per precision."""
     n = n_rows + n_cols - 1
     a = np.arange(n)
     w = np.minimum.reduce([a + 1, np.full(n, n_rows), np.full(n, n_cols), n - a])
     w = w.astype(float)
     sqrt_w = np.sqrt(w)
     inv_sqrt_w = 1.0 / sqrt_w
-    for arr in (w, sqrt_w, inv_sqrt_w):
+    out = tuple(arr.astype(dtype, copy=False) for arr in (w, sqrt_w, inv_sqrt_w))
+    for arr in out:
         arr.setflags(write=False)
-    return w, sqrt_w, inv_sqrt_w
+    return out
 
 
-def _weights_for(n: int, n_rows: int | None):
+def _weights_for(n: int, n_rows: int | None, dtype: np.dtype = np.dtype(np.float64)):
     if n_rows is None:
         n_rows = HankelDims(n).n_s
-    return _weights(n_rows, n - n_rows + 1)
+    return _weights(n_rows, n - n_rows + 1, dtype)
 
 
 def skew_diag_weights(n: int, n_rows: int | None = None) -> np.ndarray:
@@ -90,14 +100,14 @@ def skew_diag_weights(n: int, n_rows: int | None = None) -> np.ndarray:
 def apply_D(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
     """Entrywise scaling [Dx]_a = sqrt(w_a) x_a."""
     x = np.asarray(x)
-    _, sqrt_w, _ = _weights_for(x.shape[0], n_rows)
+    _, sqrt_w, _ = _weights_for(x.shape[0], n_rows, _real_dtype(x))
     return x * sqrt_w
 
 
 def apply_D_inv(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
     """Entrywise scaling [D^{-1}x]_a = x_a / sqrt(w_a)."""
     x = np.asarray(x)
-    _, _, inv_sqrt_w = _weights_for(x.shape[0], n_rows)
+    _, _, inv_sqrt_w = _weights_for(x.shape[0], n_rows, _real_dtype(x))
     return x * inv_sqrt_w
 
 
@@ -225,7 +235,7 @@ def gstar_outer(
     conv = scipy.fft.ifft((FA * FB).sum(axis=1))[:n]
     if counter is not None:
         counter.add(A.shape[1])
-    _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0])
+    _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
     out = conv * inv_sqrt_w
     if return_spectra:
         return out, FA, FB
@@ -250,7 +260,7 @@ def gstar_gram(
     conv = scipy.fft.ifft((FZ * FZ).sum(axis=1))[:n]
     if counter is not None:
         counter.add(Z.shape[1])
-    _, _, inv_sqrt_w = _weights(n_s, n_s)
+    _, _, inv_sqrt_w = _weights(n_s, n_s, _real_dtype(conv))
     out = conv * inv_sqrt_w
     return (out, FZ) if return_spectrum else out
 

@@ -154,7 +154,7 @@ def pgd_recover(
     solver; history records additionally carry the balancing gap
     ||Z_U^H Z_U - Z_V^H Z_V||_F.
     """
-    observed, truth = descent.check_inputs(observed, mask, x_true)
+    observed, truth, scale = descent.check_inputs(observed, mask, x_true)
     n = observed.shape[0]
     n_1, _ = rect_dims(n)
     y_obs = hankel_ops.apply_D(observed, n_rows=n_1)
@@ -166,16 +166,18 @@ def pgd_recover(
     radius_V = _factor_radius(Z_V0, sigma, config.r)
 
     return descent.descend(
-        evaluate=lambda Zs, counts, p, ctr: _evaluate_pair(Zs, y_obs, counts, p, ctr),
+        evaluate=_evaluate_pair,
         gradient=_gradients_pair,
         project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
         signal_of=lambda st: hankel_ops.apply_D_inv(st.g, n_rows=n_1),
         Zs0=(Z_U0, Z_V0),
+        y_obs=y_obs,
         iter_counts=iter_counts,
         config=config,
         sigma1=sigma1,
         n_out=n,
         factor_of=lambda Zs: FactorPair(*Zs),
+        scale=scale,
         # The rectangular parametrization reaches each lift entry through one
         # factor instead of two symmetric copies, so the exact gradient of the
         # shared loss normalization is half the symmetric solver's scale.  The

@@ -106,7 +106,7 @@ def recover(
     ``x_true`` is optional instrumentation: when given, per-iteration relative
     errors are recorded in the history (it never influences the iterates).
     """
-    observed, truth = descent.check_inputs(observed, mask, x_true)
+    observed, truth, scale = descent.check_inputs(observed, mask, x_true)
     n_orig = observed.shape[0]
     observed, mask = _pad_odd(observed, mask)
     n = observed.shape[0]
@@ -119,16 +119,18 @@ def recover(
     radius = 2.0 * math.sqrt(mu * config.r * sigma / n)
 
     return descent.descend(
-        evaluate=lambda Zs, counts, p, ctr: _evaluate(Zs[0], y_obs, counts, p, ctr),
+        evaluate=lambda Zs, *args: _evaluate(Zs[0], *args),
         gradient=_gradient,
         project=lambda Zs: (project_C(Zs[0], radius),),
         signal_of=lambda st: hankel_ops.apply_D_inv(st.g),
         Zs0=(Z0,),
+        y_obs=y_obs,
         iter_counts=iter_counts,
         config=config,
         sigma1=sigma1,
         n_out=n_orig,
         factor_of=lambda Zs: Zs[0],
+        scale=scale,
         mu=mu,
         truth=truth,
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hankel_scs import descent, pgd, shgd
+from hankel_scs import descent, hankel_ops, pgd, shgd
 from conftest import make_instance
 
 SOLVERS = (shgd.recover, pgd.pgd_recover)
@@ -20,10 +20,11 @@ def test_solvers_reject_nonfinite_samples(solve, bad):
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
-@pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e30, 1e100])
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e-30, 1e30, 1e100, 1e150])
 def test_solvers_are_scale_equivariant(solve, scale):
     # recover(s * y) = s * recover(y) to rounding, in the same number of
-    # iterations.  Below about 1e-160 the quartic loss underflows.
+    # iterations: the solvers normalize the data by a power of four, so the
+    # quartic loss neither underflows nor overflows.
     for seed in (1, 2, 3):
         _, x, mask, observed = make_instance(127, 4, 76, seed)
         config = shgd.SolverConfig(r=4, seed=0)
@@ -47,3 +48,92 @@ def test_recorded_armijo_step_is_the_last_step_tried(max_halvings):
     assert rec.fft_passes == 3 * (max_halvings + 2)
     eta0 = descent.fixed_step(result.sigma1_M0, config.eta0_scale)
     assert rec.step == pytest.approx(eta0 * config.beta ** max_halvings, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_scale_equivariance_through_the_complex64_phase(solve, scale):
+    # A fixed step with a tight tolerance runs complex64 first; the scaled
+    # and unscaled data round differently there, so the solves agree to
+    # the accuracy they reach, not to the last bit.
+    _, x, mask, observed = make_instance(127, 4, 76, 1)
+    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    base = solve(observed, mask, config, x_true=x)
+    scaled = solve(scale * observed, mask, config, x_true=scale * x)
+    assert base.single_iters > 0 and scaled.single_iters > 0
+    assert scaled.termination == base.termination == "tol_reached"
+    reached = np.linalg.norm(base.x_hat - x)
+    assert np.linalg.norm(scaled.x_hat / scale - base.x_hat) <= reached
+
+
+def test_project_C_returns_its_input_when_nothing_binds():
+    Z = np.array([[3.0, 4.0], [0.6, 0.8], [0.0, 0.0]], dtype=complex)
+    assert descent.project_C(Z, 5.0) is Z  # a row exactly on the radius
+    clipped = descent.project_C(Z, 2.5)
+    assert clipped is not Z
+    assert np.array_equal(clipped, Z * np.array([0.5, 1.0, 1.0])[:, None])
+
+
+def _gram_dtypes(monkeypatch):
+    """Record the factor precision of every evaluation of the symmetric solver."""
+    seen = []
+    gstar_gram = hankel_ops.gstar_gram
+
+    def recording(Z, *args, **kwargs):
+        seen.append(Z.dtype)
+        return gstar_gram(Z, *args, **kwargs)
+
+    monkeypatch.setattr(hankel_ops, "gstar_gram", recording)
+    return seen
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(step_policy="backtracking", rel_change_tol=1e-9),
+    dict(step_policy="fixed", rel_change_tol=1e-5),
+])
+def test_solves_outside_the_schedule_stay_in_complex128(monkeypatch, overrides):
+    seen = _gram_dtypes(monkeypatch)
+    _, x, mask, observed = make_instance(127, 4, 76, 1)
+    result = shgd.recover(observed, mask, shgd.SolverConfig(r=4, seed=0, **overrides))
+    assert result.single_iters == 0
+    assert set(seen) == {np.dtype(np.complex128)}
+    assert result.x_hat.dtype == result.Z_final.dtype == np.complex128
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_fixed_step_runs_complex64_then_finishes_in_complex128(monkeypatch, solve):
+    seen = _gram_dtypes(monkeypatch)
+    _, x, mask, observed = make_instance(127, 4, 76, 0)
+    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    result = solve(observed, mask, config, x_true=x)
+    k = result.single_iters
+    assert 0 < k < result.iters
+    assert result.termination == "tol_reached"
+    # The phase ends at the switch point, and the tolerance is decided in
+    # double precision only.
+    changes = [rec.rel_change for rec in result.history]
+    assert changes[k - 1] <= descent.SINGLE_UNTIL < min(changes[: k - 1])
+    assert result.history[-1].rel_err < 1e-8  # beyond single precision's reach
+    assert result.x_hat.dtype == np.complex128
+    if solve is shgd.recover:
+        # The init's evaluation and one per complex64 iteration, then the
+        # iterate evaluated again in double precision and one per step.
+        assert seen == [np.dtype(np.complex64)] * (k + 1) + [np.dtype(np.complex128)] * (
+            result.iters - k + 1)
+
+
+def test_stall_rule_ends_the_complex64_phase(monkeypatch):
+    # With the switch point out of single precision's reach, only the stall
+    # rule can end the phase (here rel_change floors near 5e-7 in complex64);
+    # the solve still reaches its tolerance.
+    monkeypatch.setattr(descent, "SINGLE_UNTIL", 1e-12)
+    _, x, mask, observed = make_instance(127, 4, 76, 0)
+    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-13,
+                               max_iters=1000, seed=0)
+    result = shgd.recover(observed, mask, config, x_true=x)
+    k = result.single_iters
+    assert 0 < k < result.iters
+    assert result.termination == "tol_reached"
+    assert min(rec.rel_change for rec in result.history[:k]) > 1e-12
+    assert result.history[-1].rel_change <= 1e-13
+    assert result.history[-1].rel_err < 1e-10

@@ -376,3 +376,35 @@ def test_cost_scaling_near_linear(rng):
             reps.append(time.perf_counter() - t0)
         times[n_s] = np.median(reps)
     assert times[2048] / times[1024] <= 2.6
+
+
+# ---------------------------------------------------------------------------
+# Precision: complex64 in, complex64 out
+# ---------------------------------------------------------------------------
+
+def _single_precision_cases(rng):
+    n_s, r = 257, 5
+    n = 2 * n_s - 1
+    Z = rand_complex(rng, n_s, r)
+    W = rand_complex(rng, n_s + 20, r)
+    v = rand_complex(rng, n)
+    return {
+        "gstar_gram": lambda c: hankel_ops.gstar_gram(c(Z)),
+        "gstar_outer": lambda c: hankel_ops.gstar_outer(c(Z), c(W)),
+        "hankel_corr": lambda c: hankel_ops.hankel_corr(c(v), c(Z), n_s),
+        "g_apply_times_conj": lambda c: hankel_ops.g_apply_times_conj(c(v), c(Z)),
+        "apply_D": lambda c: hankel_ops.apply_D(c(v)),
+        "apply_D_inv": lambda c: hankel_ops.apply_D_inv(c(v)),
+    }
+
+
+@pytest.mark.parametrize("kernel", [
+    "gstar_gram", "gstar_outer", "hankel_corr", "g_apply_times_conj", "apply_D", "apply_D_inv",
+])
+def test_kernels_keep_single_precision(rng, kernel):
+    run = _single_precision_cases(rng)[kernel]
+    single = run(lambda a: a.astype(np.complex64))
+    double = run(lambda a: a.astype(np.complex128))
+    assert single.dtype == np.complex64
+    assert double.dtype == np.complex128
+    assert rel(single, double) <= 2e-6

@@ -320,7 +320,12 @@ def test_result_json_contract(tmp_path, rng):
     shgd.save_result(path, res)
 
     doc = json.loads(path.read_text())
-    assert set(doc.keys()) >= {"x_hat", "iters", "termination", "history"}
+    assert set(doc.keys()) >= {"x_hat", "iters", "single_iters", "termination",
+                               "sigma1_M0", "mu", "counter", "history"}
+    assert doc["single_iters"] == res.single_iters == 0  # backtracking: complex128 only
+    assert doc["sigma1_M0"] == res.sigma1_M0 and doc["mu"] == res.mu
+    assert doc["counter"] == {"fft_passes": res.counter.fft_passes,
+                              "gram_flops": res.counter.gram_flops}
     assert len(doc["x_hat"]) == 63
     assert all(len(pair) == 2 for pair in doc["x_hat"])
     assert doc["iters"] == len(doc["history"])
