@@ -26,18 +26,18 @@ phase ends after the first iteration whose ``rel_change`` is at most
 without a new low of ``rel_change`` (the stall rule: single precision can
 stop making progress above the switch point, and a solve must never stall
 out there).  The stall rule waits for a run of iterations, not one rise,
-because ``rel_change`` is not monotone even in exact arithmetic: at the
-paper's timing point it rises for up to 14 iterations in a row, two or
-three times per solve, long before it reaches 1e-5.  The next iteration
-casts the iterate to complex128, evaluates it once more and goes on in
-double precision under the unchanged stopping rule; ``tol_reached`` is only
-ever decided in double precision.  Backtracking solves never leave complex128:
-Armijo compares losses that single precision cannot resolve near the switch.
-Looser tolerances would leave nothing to finish in double precision, so they
-also run in complex128 throughout.  ``RecoveryResult.single_iters`` counts the
-complex64 iterations.  A fixed-step run shorter than its complex64 phase,
-such as the 12 iterations of ``bench.run_scaling``, runs and times complex64
-iterations only.
+because ``rel_change`` is not monotone even in double precision: at the
+paper's timing point it rises one to three times per solve, long before it
+reaches 1e-5, and goes up to 14 iterations without a new low.  The next
+iteration casts the iterate to complex128, evaluates it once more and goes
+on in double precision under the unchanged stopping rule; ``tol_reached`` is
+only ever decided in double precision.  Backtracking solves never leave
+complex128: Armijo compares losses that single precision cannot resolve near
+the switch.  Looser tolerances would leave nothing to finish in double
+precision, so they also run in complex128 throughout.
+``RecoveryResult.single_iters`` counts the complex64 iterations.  A
+fixed-step run shorter than its complex64 phase, such as the 12 iterations
+of ``bench.run_scaling``, runs and times complex64 iterations only.
 """
 
 from __future__ import annotations
@@ -360,7 +360,10 @@ def descend(
             # The tolerance lies below SINGLE_UNTIL, so it is never reached
             # before this phase ends.
             single_iters += 1
-            lowest, since_low = (rel_change, 0) if rel_change < lowest else (lowest, since_low + 1)
+            if rel_change < lowest:
+                lowest, since_low = rel_change, 0
+            else:
+                since_low += 1
             if rel_change <= SINGLE_UNTIL or since_low >= STALL_ITERS:
                 dtype = np.complex128
                 y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
