@@ -2,12 +2,14 @@
 noise sweeps, cost-scaling runs, and a self-contained invariant selftest.
 
 Every experiment is driven by an :class:`ExperimentSpec` and emits a CSV plus
-a JSON metadata sidecar (config echo, host info, git hash).  Reproducibility
-contract: identical spec and seed produce identical result values; wall-time
-columns and the leading ``#`` timestamp header line are excluded from that
-contract.  Per-trial randomness derives from
-``SeedSequence(master_seed, spawn_key=cell_key + (trial,))`` so results do not
-depend on scheduling or worker count.
+a JSON metadata sidecar (host info, git hash, and the spec with every default
+filled in, so the sidecar says which sizes ran).  :data:`EXPERIMENTS` lists
+the kinds, each with its runner and its default sizes.  Trials run one after
+another.  Reproducibility contract: identical spec and seed produce identical
+result values; wall-time columns and the leading ``#`` timestamp header line
+are excluded from that contract.  Per-trial randomness derives from
+``SeedSequence(master_seed, spawn_key=cell_key + (trial,))``, so a grid split
+by rank across processes reproduces the same rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import subprocess
 import sys
 import time
 from collections import Counter, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,32 +42,35 @@ class ExperimentSpec:
     """Declarative description of one benchmark run.
 
     ``r_values``/``p_values`` span phase grids; ``r``/``m`` pin the single
-    operating point of timing and noise runs (``m_values`` and
-    ``sigma_values`` give the noise sweep its axes).  ``solver_overrides``
-    are keyword overrides applied on top of each experiment's solver
-    defaults; they may not set ``r`` or ``seed``, which each trial sets.  ``variant`` selects the timing flavor: "ratio" (SHGD vs PGD
-    time-to-target) or "scaling" (per-iteration cost vs n).  ``threads``
-    parallelizes phase and noise trials; timing runs serially so that its
-    wall times are not inflated by solves competing for the cores.  A rank
-    that the run's signal length cannot hold (n < 2r - 1) is rejected here,
-    before any trial is solved.
+    operating point of timing, scaling and noise runs (``m_values`` and
+    ``sigma_values`` give the noise sweep its axes).  Scaling takes no ``n``:
+    it runs the ladder n = 2^j - 2 over :data:`SCALING_EXPONENTS`.  Sizes a
+    kind uses but the caller leaves unset are filled in from the kind's
+    defaults in :data:`EXPERIMENTS`, so runners and the sidecar read the
+    values that ran.  ``solver_overrides`` are keyword overrides applied on
+    top of each experiment's solver defaults; they may not set ``r`` or
+    ``seed``, which each trial sets.
+
+    Sizes are checked here, before any trial is solved: n, ranks and sample
+    counts must be at least 1, a rank must fit the signal length
+    (n >= 2r - 1), sample counts may not exceed n, sampling ratios lie in
+    (0, 1], noise levels are finite and non-negative, axes are not empty,
+    and a size the kind does not use must stay unset.
     """
 
     kind: str
     n: int | None = None
     r: int | None = None
-    r_values: tuple = ()
-    p_values: tuple = ()
+    r_values: tuple | None = None
+    p_values: tuple | None = None
     m: int | None = None
-    m_values: tuple = (60, 120)
-    sigma_values: tuple = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
+    m_values: tuple | None = None
+    sigma_values: tuple | None = None
     trials: int = 20
     seed: int = 0
     solver: str = "shgd"
     solver_overrides: dict = field(default_factory=dict)
-    threads: int = 1
     reps: int = 3
-    variant: str = "ratio"
     targets: tuple = TIMING_TARGETS
 
     def __post_init__(self):
@@ -76,14 +80,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.kind == "timing" and self.threads > 1:
-            raise ValueError("timing runs its trials serially; threads must be 1")
         if self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.variant not in ("ratio", "scaling"):
-            raise ValueError(f"unknown timing variant {self.variant!r}")
         reserved = sorted({"r", "seed"} & set(self.solver_overrides))
         if reserved:
             raise ValueError(f"solver_overrides cannot set {reserved}: "
@@ -92,31 +90,46 @@ class ExperimentSpec:
             shgd.SolverConfig(r=1, **self.solver_overrides)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad solver_overrides: {exc}") from exc
-        self.r_values = tuple(int(v) for v in self.r_values)
-        self.p_values = tuple(float(v) for v in self.p_values)
-        self.m_values = tuple(int(v) for v in self.m_values)
-        self.sigma_values = tuple(float(v) for v in self.sigma_values)
-        self.targets = tuple(float(v) for v in self.targets)
-        n, ranks = self.length_and_ranks()
-        for r in ranks:
+        defaults = EXPERIMENTS[self.kind].defaults
+        sizes = {name for kind in EXPERIMENTS.values() for name in kind.defaults}
+        unused = sorted(name for name in sizes - set(defaults)
+                        if getattr(self, name) is not None)
+        if unused:
+            raise ValueError(f"a {self.kind} run does not use {unused}")
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
+        for name, cast in (("r_values", int), ("p_values", float), ("m_values", int),
+                           ("sigma_values", float), ("targets", float)):
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(cast(v) for v in getattr(self, name)))
+        empty = sorted(name for name in defaults if getattr(self, name) == ())
+        if empty:
+            raise ValueError(f"{empty} must hold at least one value")
+        self._check_sizes()
+
+    def _check_sizes(self) -> None:
+        # The scaling ladder's shortest rung bounds its rank and sample count.
+        n = 2 ** min(SCALING_EXPONENTS) - 2 if self.kind == "scaling" else self.n
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        for r in self.r_values if self.kind == "phase" else (self.r,):
+            if r < 1:
+                raise ValueError(f"ranks must be >= 1, got {r}")
             if n < 2 * r - 1:
                 raise ValueError(
                     f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, "
                     f"but this {self.kind} run uses n={n}"
                 )
-
-    def length_and_ranks(self) -> tuple[int, tuple]:
-        """The signal length and the ranks that the run draws instances at,
-        defaults filled in; for the scaling ladder, its shortest rung."""
-        if self.kind == "phase":
-            return (self.n or PHASE_DEFAULT["n"],
-                    self.r_values or PHASE_DEFAULT["r_values"])
-        if self.kind == "noise":
-            return self.n or NOISE_DEFAULT["n"], (self.r or NOISE_DEFAULT["r"],)
-        if self.variant == "scaling":
-            return (2 ** min(SCALING_EXPONENTS) - 2,
-                    (self.r or SCALING_DEFAULT["r"],))
-        return self.n or TIMING_DEFAULT["n"], (self.r or TIMING_DEFAULT["r"],)
+        for p in self.p_values or ():
+            if not 0 < p <= 1:
+                raise ValueError(f"sampling ratios must lie in (0, 1], got {p}")
+        for m in ((self.m,) if self.m is not None else ()) + (self.m_values or ()):
+            if not 1 <= m <= n:
+                raise ValueError(f"sample counts must lie in [1, n={n}], got {m}")
+        for sigma in self.sigma_values or ():
+            if not 0 <= sigma < math.inf:
+                raise ValueError(f"noise levels must be finite and >= 0, got {sigma}")
 
 
 @dataclass
@@ -236,14 +249,6 @@ def read_csv_rows(path):
     return tuple(reader.fieldnames or ()), list(reader)
 
 
-def _map_tasks(fn, tasks, threads: int):
-    """Run fn over tasks, optionally on a thread pool; order preserved."""
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _mean(values) -> float | None:
     values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
@@ -302,19 +307,18 @@ def _grid_trial(spec, key, n, r, m, model, defaults, sigma_e=0.0) -> _Trial:
     return _Trial(err, iters, (time.perf_counter() - t0) * 1e3, failure)
 
 
-def _run_grid(spec, axes, trial, row_of, columns, **meta) -> GridResult:
+def _run_grid(spec, axes, trial, row_of, columns) -> GridResult:
     """Run ``trial(*cell, t)`` over every cell of the axes' product and trial t.
 
     ``row_of(cell, trials)`` reduces each cell's trials to one row, in axis
     order.  ``meta["failures"]`` counts failed trials per error class.
     """
     cells = list(itertools.product(*axes))
-    tasks = [(cell, t) for cell in cells for t in range(spec.trials)]
-    outcomes = _map_tasks(lambda task: trial(*task[0], task[1]), tasks, spec.threads)
+    outcomes = [trial(*cell, t) for cell in cells for t in range(spec.trials)]
     k = spec.trials
     rows = [row_of(cell, outcomes[i * k:(i + 1) * k]) for i, cell in enumerate(cells)]
     failures = Counter(o.failure for o in outcomes if o.failure is not None)
-    meta = build_meta(spec, failures=dict(sorted(failures.items())), **meta)
+    meta = build_meta(spec, failures=dict(sorted(failures.items())))
     return GridResult(columns=columns, rows=rows, meta=meta)
 
 
@@ -325,7 +329,6 @@ def _run_grid(spec, axes, trial, row_of, columns, **meta) -> GridResult:
 PHASE_SOLVER_DEFAULTS = dict(
     step_policy="backtracking", rel_change_tol=1e-5, max_iters=200
 )
-PHASE_DEFAULT = dict(n=127, r_values=tuple(range(1, 17)))
 
 
 def run_phase(spec: ExperimentSpec) -> GridResult:
@@ -338,8 +341,7 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
     """
     if spec.kind != "phase":
         raise ValueError("spec.kind must be 'phase'")
-    n, r_values = spec.length_and_ranks()
-    p_values = spec.p_values or tuple(round(0.1 * i, 10) for i in range(1, 10))
+    n = spec.n
     model = _separated(1.0)
 
     def m_of(p):
@@ -360,7 +362,7 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
         )
 
     columns = ("r", "p", "m", "successes", "trials", "mean_iters", "mean_ms")
-    return _run_grid(spec, (r_values, p_values), trial, row_of, columns)
+    return _run_grid(spec, (spec.r_values, spec.p_values), trial, row_of, columns)
 
 
 def success_boundary(rows) -> dict:
@@ -375,13 +377,12 @@ def success_boundary(rows) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Timing: SHGD vs PGD time-to-target, and per-iteration cost scaling
+# Timing: SHGD vs PGD time-to-target
 # ---------------------------------------------------------------------------
 
 TIMING_SOLVER_DEFAULTS = dict(
     step_policy="fixed", eta_prime=0.75, rel_change_tol=1e-9, max_iters=900
 )
-TIMING_DEFAULT = dict(n=2046, r=150, m=876)
 
 
 def _time_to_targets(result: shgd.RecoveryResult, wall_s: float, targets):
@@ -419,10 +420,7 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
     """
     if spec.kind != "timing":
         raise ValueError("spec.kind must be 'timing'")
-    if spec.variant == "scaling":
-        return run_scaling(spec)
-    n, (r,) = spec.length_and_ranks()
-    m = spec.m if spec.m is not None else TIMING_DEFAULT["m"]
+    n, r, m = spec.n, spec.r, spec.m
 
     def one_trial(trial: int) -> dict:
         """solver -> ({target: (median seconds or None, iterations)}, passes/iter)."""
@@ -462,7 +460,6 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
         rows.extend(cells.values())
     meta = build_meta(
         spec,
-        n=n, r=r, m=m,
         fft_passes_per_iter={
             name: _mean([out[name][1] for out in trials]) for name in _SOLVERS
         },
@@ -507,29 +504,36 @@ def measure_flop_model(n: int, r: int) -> dict:
     return {"C": C, "ratio": ratio, "t_pass_s": t_pass, "t_mac_s": t_mac}
 
 
+# ---------------------------------------------------------------------------
+# Scaling: per-iteration cost versus signal length
+# ---------------------------------------------------------------------------
+
 SCALING_SOLVER_DEFAULTS = dict(
     step_policy="fixed", eta_prime=0.75, rel_change_tol=1e-300, max_iters=12
 )
-SCALING_DEFAULT = dict(r=30, m=512, warmup=3)
+SCALING_WARMUP = 3  # leading iterations left out of the per-iteration median
 
 
 def run_scaling(spec: ExperimentSpec) -> GridResult:
     """Per-iteration solver cost versus signal length at fixed rank.
 
     Runs a short fixed-step solve at each n = 2^j - 2 and reports the median
-    per-iteration wall time (warmup iterations excluded); the growth should
-    track n log n.
+    per-iteration wall time; the growth should track n log n.  The first
+    :data:`SCALING_WARMUP` iterations are left out, but never the last one,
+    and a solve that ran no iteration leaves ``per_iter_ms`` empty.
     """
-    r = spec.r or SCALING_DEFAULT["r"]
-    m = spec.m if spec.m is not None else SCALING_DEFAULT["m"]
+    if spec.kind != "scaling":
+        raise ValueError("spec.kind must be 'scaling'")
+    r, m = spec.r, spec.m
     rows = []
     for j in SCALING_EXPONENTS:
         n = 2 ** j - 2
         _, mask, observed, seed = _draw(spec.seed, (r, m, 0), n, r, m, stratified_model)
         config = _config(spec, r, seed, SCALING_SOLVER_DEFAULTS)
         result = _SOLVERS[spec.solver](observed, mask, config)
-        warmup = min(SCALING_DEFAULT["warmup"], config.max_iters - 1)
-        per_iter = float(np.median([rec.ms for rec in result.history[warmup:]]))
+        warmup = min(SCALING_WARMUP, max(result.iters - 1, 0))
+        timed = [rec.ms for rec in result.history[warmup:]]
+        per_iter = float(np.median(timed)) if timed else None
         rows.append(dict(n=n, r=r, m=m, iters=result.iters, per_iter_ms=per_iter))
     columns = ("n", "r", "m", "iters", "per_iter_ms")
     return GridResult(columns=columns, rows=rows, meta=build_meta(spec))
@@ -542,7 +546,6 @@ def run_scaling(spec: ExperimentSpec) -> GridResult:
 NOISE_SOLVER_DEFAULTS = dict(
     step_policy="backtracking", rel_change_tol=1e-8, max_iters=300
 )
-NOISE_DEFAULT = dict(n=127, r=12)
 
 
 def run_noise(spec: ExperimentSpec) -> GridResult:
@@ -556,7 +559,7 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
     """
     if spec.kind != "noise":
         raise ValueError("spec.kind must be 'noise'")
-    n, (r,) = spec.length_and_ranks()
+    n, r = spec.n, spec.r
     model = _separated(1.5)
 
     def trial(sigma, m, t):
@@ -572,18 +575,27 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
 
     columns = ("sigma_e", "snr_db", "m", "mean_rmse")
     axes = (spec.sigma_values, spec.m_values)
-    return _run_grid(spec, axes, trial, row_of, columns, n=n, r=r)
+    return _run_grid(spec, axes, trial, row_of, columns)
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds: the one list that the spec and the CLI read
+# Experiment kinds: the one list that the spec and the CLI read.  ``defaults``
+# names the sizes and axes a kind uses, with the values a spec fills in.
 # ---------------------------------------------------------------------------
 
-Experiment = namedtuple("Experiment", "run help")
+Experiment = namedtuple("Experiment", "run help defaults")
 EXPERIMENTS = {
-    "phase": Experiment(run_phase, "success-probability grid"),
-    "timing": Experiment(run_timing, "solver timing comparison (or per-iteration scaling)"),
-    "noise": Experiment(run_noise, "noise robustness sweep"),
+    "phase": Experiment(run_phase, "success-probability grid", dict(
+        n=127, r_values=tuple(range(1, 17)),
+        p_values=tuple(round(0.1 * i, 10) for i in range(1, 10)),
+    )),
+    "timing": Experiment(run_timing, "SHGD-vs-PGD time-to-target comparison",
+                         dict(n=2046, r=150, m=876)),
+    "scaling": Experiment(run_scaling, "per-iteration cost versus signal length",
+                          dict(r=30, m=512)),
+    "noise": Experiment(run_noise, "noise robustness sweep", dict(
+        n=127, r=12, m_values=(60, 120), sigma_values=(0.0, 1e-3, 1e-2, 1e-1, 1.0),
+    )),
 }
 
 

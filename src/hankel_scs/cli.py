@@ -5,21 +5,23 @@ Subcommands
 gen       draw a ground-truth model, sample it, write observations to disk
 recover   run a solver on saved observations and write the result JSON
 phase     success-probability grid over (rank, sampling ratio)
-timing    SHGD-vs-PGD time-to-target comparison (or per-iteration scaling)
+timing    SHGD-vs-PGD time-to-target comparison
+scaling   per-iteration solver cost versus signal length
 noise     reconstruction error versus noise level
 selftest  invariant suite with one verdict line per property
 
+The experiment subcommands (phase, timing, scaling, noise) are the kinds in
+``bench.EXPERIMENTS``; ``--config`` sets their ``bench.ExperimentSpec`` fields,
+and a spec that fails its checks is a usage error.  Trials run serially.
+
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
 Any other error is a bug and ends the command with its traceback.
-The ``HANKEL_SCS_THREADS`` environment variable overrides ``--threads``; only
-phase and noise run trials in parallel, and timing rejects more than one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -79,25 +81,12 @@ def _load_config(text: str | None) -> dict:
     return cfg
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("HANKEL_SCS_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(
-                f"HANKEL_SCS_THREADS must be an integer, got {env!r}"
-            ) from None
-    return args.threads
-
-
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", help="output path")
     parser.add_argument(
         "--config", help="JSON object (inline or file path) with extra settings"
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
 def build_parser() -> _Parser:
@@ -196,9 +185,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = _load_config(args.config)
-    spec_kwargs = dict(
-        kind=args.command, seed=args.seed, threads=_resolve_threads(args),
-    )
+    spec_kwargs = dict(kind=args.command, seed=args.seed)
     spec_kwargs.update(overrides)
     try:
         spec = bench.ExperimentSpec(**spec_kwargs)

@@ -57,7 +57,7 @@ def test_fmt_cells():
 
 
 def test_write_csv_roundtrip_and_meta_sidecar(tmp_path):
-    spec = bench.ExperimentSpec(kind="noise", n=31, r=2, trials=1)
+    spec = bench.ExperimentSpec(kind="noise", n=31, r=2, m_values=(20,), trials=1)
     result = bench.GridResult(
         columns=("a", "b"), rows=[dict(a=1, b=None), dict(a=2, b=0.5)],
         meta=bench.build_meta(spec),
@@ -126,7 +126,7 @@ def test_programming_error_in_a_trial_propagates(monkeypatch, run, kwargs):
     dict(kind="phase", n=21),  # default ranks run up to 16
     dict(kind="noise", n=31, r=17),
     dict(kind="timing", n=31, r=17),
-    dict(kind="timing", variant="scaling", r=1024),  # shortest rung n=2046
+    dict(kind="scaling", r=1024),  # shortest rung n=2046
 ])
 def test_spec_rejects_ranks_the_signal_length_cannot_hold(kwargs):
     with pytest.raises(ValueError, match=r"n >= 2r-1"):
@@ -135,7 +135,43 @@ def test_spec_rejects_ranks_the_signal_length_cannot_hold(kwargs):
 
 def test_spec_accepts_the_largest_rank_that_fits():
     bench.ExperimentSpec(kind="phase", n=31, r_values=(16,), p_values=(0.5,))
-    bench.ExperimentSpec(kind="timing", variant="scaling", r=1023)
+    bench.ExperimentSpec(kind="scaling", r=1023)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(kind="noise", n=0), "n must be >= 1"),
+    (dict(kind="noise", r=0), "ranks must be >= 1"),
+    (dict(kind="phase", r_values=(0,)), "ranks must be >= 1"),
+    (dict(kind="phase", p_values=(1.5,)), r"\(0, 1\]"),
+    (dict(kind="phase", p_values=(0.0,)), r"\(0, 1\]"),
+    (dict(kind="timing", m=0), r"\[1, n=2046\]"),
+    (dict(kind="timing", n=254, r=8), r"\[1, n=254\]"),  # default m=876
+    (dict(kind="scaling", m=2047), r"\[1, n=2046\]"),  # shortest rung
+    (dict(kind="noise", m_values=(60, 128)), r"\[1, n=127\]"),
+    (dict(kind="noise", sigma_values=(-0.1,)), "finite and >= 0"),
+    (dict(kind="noise", sigma_values=(float("nan"),)), "finite and >= 0"),
+    (dict(kind="phase", r_values=(), p_values=()), r"\['p_values', 'r_values'\] must hold"),
+    (dict(kind="scaling", n=500), r"does not use \['n'\]"),
+    (dict(kind="phase", r=3, m_values=(20,)), r"does not use \['m_values', 'r'\]"),
+])
+def test_spec_rejects_sizes_out_of_range(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        bench.ExperimentSpec(trials=1, **kwargs)
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("phase", dict(n=127, r_values=list(range(1, 17)),
+                   p_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])),
+    ("timing", dict(n=2046, r=150, m=876)),
+    ("scaling", dict(n=None, r=30, m=512)),  # rows carry each rung's n
+    ("noise", dict(n=127, r=12, m_values=[60, 120])),
+])
+def test_sidecar_echoes_the_sizes_a_defaulted_spec_runs(tmp_path, kind, sizes):
+    spec = bench.ExperimentSpec(kind=kind)
+    path = tmp_path / "out.csv"
+    bench.write_csv(path, bench.GridResult((), [], bench.build_meta(spec)))
+    echo = json.loads((tmp_path / "out.csv.meta.json").read_text())["spec"]
+    assert {k: echo[k] for k in sizes} == sizes
 
 
 def test_phase_grid_row_order_and_determinism():
@@ -149,17 +185,6 @@ def test_phase_grid_row_order_and_determinism():
         return [{k: v for k, v in row.items() if k != "mean_ms"} for row in rows]
 
     assert stable(a.rows) == stable(b.rows)
-
-
-def test_phase_parallel_matches_serial():
-    serial = bench.run_phase(bench.ExperimentSpec(kind="phase", **TINY_PHASE))
-    parallel = bench.run_phase(
-        bench.ExperimentSpec(kind="phase", threads=3, **TINY_PHASE))
-
-    def stable(rows):
-        return [{k: v for k, v in row.items() if k != "mean_ms"} for row in rows]
-
-    assert stable(serial.rows) == stable(parallel.rows)
 
 
 def test_success_boundary_table():
@@ -240,13 +265,17 @@ def test_timing_smoke_and_csv_contract(tmp_path):
     assert rows[1]["ratio"] == ""  # pgd rows leave the ratio cell empty
 
 
-def test_timing_rejects_threads(tmp_path, monkeypatch):
-    with pytest.raises(ValueError, match="serially"):
-        bench.ExperimentSpec(kind="timing", threads=2)
+def test_timing_rejects_threads(tmp_path):
+    # Trials always run serially, and scaling is its own kind: the old
+    # thread count and timing variant are usage errors, caught before a solve.
     out = str(tmp_path / "t.csv")
-    assert cli.main(["timing", "--threads", "2", "--out", out]) == 1
-    monkeypatch.setenv("HANKEL_SCS_THREADS", "2")
-    assert cli.main(["timing", "--out", out]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["timing", "--threads", "2", "--out", out])
+    assert exc.value.code == 1
+    assert cli.main(["timing", "--config", '{"variant": "scaling"}',
+                     "--out", out]) == 1
+    with pytest.raises(TypeError):
+        bench.ExperimentSpec(kind="timing", threads=2)
 
 
 def test_flop_model_ratio_within_analytic_bounds():
@@ -256,12 +285,16 @@ def test_flop_model_ratio_within_analytic_bounds():
 
 
 def test_scaling_cost_grows_with_length():
-    spec = bench.ExperimentSpec(kind="timing", variant="scaling", trials=1)
-    res = bench.run_timing(spec)
+    # Three runs, compared on each rung's median, so that one slow host phase
+    # during a single rung cannot invert the rise.
+    spec = bench.ExperimentSpec(kind="scaling")
+    runs = [bench.run_scaling(spec) for _ in range(3)]
+    res = runs[0]
     assert res.columns == ("n", "r", "m", "iters", "per_iter_ms")
     ns = [row["n"] for row in res.rows]
     assert ns == [2**j - 2 for j in bench.SCALING_EXPONENTS]
-    per_iter = [row["per_iter_ms"] for row in res.rows]
+    per_iter = np.median([[row["per_iter_ms"] for row in run.rows] for run in runs],
+                         axis=0)
     assert all(b > a for a, b in zip(per_iter, per_iter[1:]))
 
 
@@ -275,12 +308,28 @@ def test_scaling_passes_solver_overrides_to_the_solve(monkeypatch):
 
     monkeypatch.setitem(bench._SOLVERS, "shgd", fake_solve)
     monkeypatch.setattr(bench, "SCALING_EXPONENTS", (6, 7))
-    spec = bench.ExperimentSpec(kind="timing", variant="scaling", r=3, m=40,
+    spec = bench.ExperimentSpec(kind="scaling", r=3, m=40,
                                 trials=1, solver_overrides=dict(eta_prime=0.5))
-    res = bench.run_timing(spec)
+    res = bench.run_scaling(spec)
     assert [row["n"] for row in res.rows] == [62, 126]
     assert [c.eta_prime for c in configs] == [0.5, 0.5]
     assert all(c.step_policy == "fixed" and c.max_iters == 12 for c in configs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides, iters", [
+    (dict(rel_change_tol=0.5), 1),  # stops inside the warm-up
+    (dict(max_iters=0), 0),
+])
+def test_scaling_per_iteration_time_of_a_short_solve(monkeypatch, overrides, iters):
+    monkeypatch.setattr(bench, "SCALING_EXPONENTS", (7,))
+    spec = bench.ExperimentSpec(kind="scaling", r=3, m=60, solver_overrides=overrides)
+    (row,) = bench.run_scaling(spec).rows
+    assert row["iters"] == iters
+    if iters:
+        assert row["per_iter_ms"] > 0
+    else:
+        assert row["per_iter_ms"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +471,20 @@ def test_cli_phase_csv(tmp_path):
     assert (out.parent / "phase.csv.meta.json").exists()
 
 
+def test_cli_scaling_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "SCALING_EXPONENTS", (6, 7))
+    out = tmp_path / "scaling.csv"
+    config = json.dumps(dict(r=3, m=40))
+    assert cli.main(["scaling", "--config", config, "--out", str(out)]) == 0
+    cols, rows = bench.read_csv_rows(out)
+    assert cols == ("n", "r", "m", "iters", "per_iter_ms")
+    assert [(row["n"], row["r"], row["m"]) for row in rows] == [
+        ("62", "3", "40"), ("126", "3", "40")]
+    assert all(float(row["per_iter_ms"]) > 0 for row in rows)
+    meta = json.loads((tmp_path / "scaling.csv.meta.json").read_text())
+    assert meta["spec"]["kind"] == "scaling"
+
+
 def test_cli_noise_csv(tmp_path):
     out = tmp_path / "noise.csv"
     config = json.dumps(dict(
@@ -435,9 +498,14 @@ def test_cli_noise_csv(tmp_path):
 
 def test_cli_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
     monkeypatch.setitem(bench._SOLVERS, "shgd", _raise_type_error)
-    config = json.dumps(dict(n=31, r_values=[20], p_values=[0.5], trials=1))
     out = tmp_path / "x.csv"
-    assert cli.main(["phase", "--config", config, "--out", str(out)]) == 1
+    for kind, config in (
+        ("phase", dict(n=31, r_values=[20], p_values=[0.5], trials=1)),
+        ("phase", dict(n=31, r_values=[2], p_values=[1.5], trials=1)),
+        ("noise", dict(n=0, r=0, trials=1)),
+        ("timing", dict(n=31, r=2, m=0, trials=1)),
+    ):
+        assert cli.main([kind, "--config", json.dumps(config), "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -470,24 +538,12 @@ def test_cli_rejects_bad_solver_overrides(tmp_path):
 
 
 def test_cli_offers_every_experiment_kind():
+    assert list(bench.EXPERIMENTS) == ["phase", "timing", "scaling", "noise"]
     parser = cli.build_parser()
     for kind in bench.EXPERIMENTS:
         assert parser.parse_args([kind]).command == kind
     with pytest.raises(ValueError, match="unknown experiment kind"):
         bench.ExperimentSpec(kind="selftest")
-
-
-def test_cli_threads_env_override(tmp_path, monkeypatch):
-    config = json.dumps(dict(
-        n=31, r_values=[1], p_values=[0.9], trials=1,
-        solver_overrides=dict(max_iters=100),
-    ))
-    monkeypatch.setenv("HANKEL_SCS_THREADS", "abc")
-    assert cli.main(["phase", "--config", config,
-                     "--out", str(tmp_path / "x.csv")]) == 1
-    monkeypatch.setenv("HANKEL_SCS_THREADS", "2")
-    assert cli.main(["phase", "--config", config,
-                     "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_cli_selftest_exit_codes(tmp_path, monkeypatch):
