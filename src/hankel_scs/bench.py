@@ -3,10 +3,11 @@ noise sweeps, cost-scaling runs, and a self-contained invariant selftest.
 
 Every experiment is driven by an :class:`ExperimentSpec` and emits a CSV plus
 a JSON metadata sidecar (host info, git hash, and the spec with every default
-filled in, so the sidecar says which sizes ran).  :data:`EXPERIMENTS` lists
-the kinds, each with its runner and its default sizes.  Trials run one after
-another.  Reproducibility contract: identical spec and seed produce identical
-result values; wall-time columns and the leading ``#`` timestamp header line
+filled in, so the sidecar says which settings ran).  :data:`EXPERIMENTS`
+lists the kinds, each with its runner, the spec fields it reads with their
+defaults, and its solver defaults.  Trials run one after another.
+Reproducibility contract: identical spec and seed produce identical result
+values; wall-time columns and the leading ``#`` timestamp header line
 are excluded from that contract.  Per-trial randomness derives from
 ``SeedSequence(master_seed, spawn_key=cell_key + (trial,))``, so a grid split
 by rank across processes reproduces the same rows.
@@ -43,19 +44,21 @@ class ExperimentSpec:
 
     ``r_values``/``p_values`` span phase grids; ``r``/``m`` pin the single
     operating point of timing, scaling and noise runs (``m_values`` and
-    ``sigma_values`` give the noise sweep its axes).  Scaling takes no ``n``:
-    it runs the ladder n = 2^j - 2 over :data:`SCALING_EXPONENTS`.  Sizes a
-    kind uses but the caller leaves unset are filled in from the kind's
-    defaults in :data:`EXPERIMENTS`, so runners and the sidecar read the
-    values that ran.  ``solver_overrides`` are keyword overrides applied on
-    top of each experiment's solver defaults; they may not set ``r`` or
+    ``sigma_values`` give the noise sweep its axes).  Scaling takes no ``n``
+    and no ``trials``: it runs one solve per rung of the ladder n = 2^j - 2
+    over :data:`SCALING_EXPONENTS`.  ``solver`` picks the solver of every
+    kind but timing, which runs both ``reps`` times to each of ``targets``.
+    Fields left None take the kind's defaults in :data:`EXPERIMENTS`, so
+    runners and the sidecar read the values that ran; a field the kind does
+    not read must stay None.  ``solver_overrides`` are keyword overrides
+    applied on top of the kind's solver defaults; they may not set ``r`` or
     ``seed``, which each trial sets.
 
-    Sizes are checked here, before any trial is solved: n, ranks and sample
-    counts must be at least 1, a rank must fit the signal length
-    (n >= 2r - 1), sample counts may not exceed n, sampling ratios lie in
-    (0, 1], noise levels are finite and non-negative, axes are not empty,
-    and a size the kind does not use must stay unset.
+    Settings are checked here, before any trial is solved: n, ranks, sample
+    counts, trials and reps must be at least 1, a rank must fit the signal
+    length (n >= 2r - 1), sample counts may not exceed n, sampling ratios
+    lie in (0, 1], noise levels are finite and non-negative, axes are not
+    empty, and the solver must exist.
     """
 
     kind: str
@@ -66,22 +69,16 @@ class ExperimentSpec:
     m: int | None = None
     m_values: tuple | None = None
     sigma_values: tuple | None = None
-    trials: int = 20
+    trials: int | None = None
     seed: int = 0
-    solver: str = "shgd"
+    solver: str | None = None
     solver_overrides: dict = field(default_factory=dict)
-    reps: int = 3
-    targets: tuple = TIMING_TARGETS
+    reps: int | None = None
+    targets: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
         reserved = sorted({"r", "seed"} & set(self.solver_overrides))
         if reserved:
             raise ValueError(f"solver_overrides cannot set {reserved}: "
@@ -91,8 +88,8 @@ class ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad solver_overrides: {exc}") from exc
         defaults = EXPERIMENTS[self.kind].defaults
-        sizes = {name for kind in EXPERIMENTS.values() for name in kind.defaults}
-        unused = sorted(name for name in sizes - set(defaults)
+        settings = {name for kind in EXPERIMENTS.values() for name in kind.defaults}
+        unused = sorted(name for name in settings - set(defaults)
                         if getattr(self, name) is not None)
         if unused:
             raise ValueError(f"a {self.kind} run does not use {unused}")
@@ -121,6 +118,11 @@ class ExperimentSpec:
                     f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, "
                     f"but this {self.kind} run uses n={n}"
                 )
+        for name in ("trials", "reps"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.solver is not None and self.solver not in _SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
         for p in self.p_values or ():
             if not 0 < p <= 1:
                 raise ValueError(f"sampling ratios must lie in (0, 1], got {p}")
@@ -286,20 +288,21 @@ def _draw(seed: int, key: tuple, n: int, r: int, m: int, model, sigma_e: float =
     return x, mask, observed, solver_seed(ss)
 
 
-def _config(spec: ExperimentSpec, r: int, seed: int, defaults: dict) -> shgd.SolverConfig:
-    """An experiment's solver defaults with ``spec.solver_overrides`` on top."""
+def _config(spec: ExperimentSpec, r: int, seed: int) -> shgd.SolverConfig:
+    """The kind's solver defaults with ``spec.solver_overrides`` on top."""
+    defaults = EXPERIMENTS[spec.kind].solver_defaults
     return shgd.SolverConfig(r=r, seed=seed, **{**defaults, **spec.solver_overrides})
 
 
 _Trial = namedtuple("_Trial", "err iters ms failure")
 
 
-def _grid_trial(spec, key, n, r, m, model, defaults, sigma_e=0.0) -> _Trial:
+def _grid_trial(spec, key, n, r, m, model, sigma_e=0.0) -> _Trial:
     """Draw and solve one grid trial; a solver-domain error scores it failed."""
     t0 = time.perf_counter()
     try:
         x, mask, observed, seed = _draw(spec.seed, key, n, r, m, model, sigma_e)
-        result = _SOLVERS[spec.solver](observed, mask, _config(spec, r, seed, defaults))
+        result = _SOLVERS[spec.solver](observed, mask, _config(spec, r, seed))
     except TRIAL_ERRORS as exc:
         err, iters, failure = float("inf"), None, type(exc).__name__
     else:
@@ -348,8 +351,7 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
         return max(1, round(p * n))
 
     def trial(r, p, t):
-        return _grid_trial(spec, (r, round(p * 10000), t), n, r, m_of(p), model,
-                           PHASE_SOLVER_DEFAULTS)
+        return _grid_trial(spec, (r, round(p * 10000), t), n, r, m_of(p), model)
 
     def row_of(cell, trials):
         r, p = cell
@@ -425,7 +427,7 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
     def one_trial(trial: int) -> dict:
         """solver -> ({target: (median seconds or None, iterations)}, passes/iter)."""
         x, mask, observed, seed = _draw(spec.seed, (r, m, trial), n, r, m, stratified_model)
-        config = _config(spec, r, seed, TIMING_SOLVER_DEFAULTS)
+        config = _config(spec, r, seed)
         out = {}
         for name, solver_fn in _SOLVERS.items():
             reps = []
@@ -529,7 +531,7 @@ def run_scaling(spec: ExperimentSpec) -> GridResult:
     for j in SCALING_EXPONENTS:
         n = 2 ** j - 2
         _, mask, observed, seed = _draw(spec.seed, (r, m, 0), n, r, m, stratified_model)
-        config = _config(spec, r, seed, SCALING_SOLVER_DEFAULTS)
+        config = _config(spec, r, seed)
         result = _SOLVERS[spec.solver](observed, mask, config)
         warmup = min(SCALING_WARMUP, max(result.iters - 1, 0))
         timed = [rec.ms for rec in result.history[warmup:]]
@@ -564,7 +566,7 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
 
     def trial(sigma, m, t):
         return _grid_trial(spec, (r, m, t, round(sigma * 1e6)), n, r, m, model,
-                           NOISE_SOLVER_DEFAULTS, sigma_e=sigma)
+                           sigma_e=sigma)
 
     def row_of(cell, trials):
         sigma, m = cell
@@ -580,22 +582,26 @@ def run_noise(spec: ExperimentSpec) -> GridResult:
 
 # ---------------------------------------------------------------------------
 # Experiment kinds: the one list that the spec and the CLI read.  ``defaults``
-# names the sizes and axes a kind uses, with the values a spec fills in.
+# names the spec fields a kind reads, with the values a spec fills in;
+# ``solver_defaults`` are the SolverConfig fields its solves start from.
 # ---------------------------------------------------------------------------
 
-Experiment = namedtuple("Experiment", "run help defaults")
+Experiment = namedtuple("Experiment", "run help defaults solver_defaults")
 EXPERIMENTS = {
     "phase": Experiment(run_phase, "success-probability grid", dict(
         n=127, r_values=tuple(range(1, 17)),
         p_values=tuple(round(0.1 * i, 10) for i in range(1, 10)),
-    )),
-    "timing": Experiment(run_timing, "SHGD-vs-PGD time-to-target comparison",
-                         dict(n=2046, r=150, m=876)),
+        trials=20, solver="shgd",
+    ), PHASE_SOLVER_DEFAULTS),
+    "timing": Experiment(run_timing, "SHGD-vs-PGD time-to-target comparison", dict(
+        n=2046, r=150, m=876, trials=20, reps=3, targets=TIMING_TARGETS,
+    ), TIMING_SOLVER_DEFAULTS),
     "scaling": Experiment(run_scaling, "per-iteration cost versus signal length",
-                          dict(r=30, m=512)),
+                          dict(r=30, m=512, solver="shgd"), SCALING_SOLVER_DEFAULTS),
     "noise": Experiment(run_noise, "noise robustness sweep", dict(
         n=127, r=12, m_values=(60, 120), sigma_values=(0.0, 1e-3, 1e-2, 1e-1, 1.0),
-    )),
+        trials=20, solver="shgd",
+    ), NOISE_SOLVER_DEFAULTS),
 }
 
 

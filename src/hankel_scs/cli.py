@@ -10,9 +10,10 @@ scaling   per-iteration solver cost versus signal length
 noise     reconstruction error versus noise level
 selftest  invariant suite with one verdict line per property
 
-The experiment subcommands (phase, timing, scaling, noise) are the kinds in
-``bench.EXPERIMENTS``; ``--config`` sets their ``bench.ExperimentSpec`` fields,
-and a spec that fails its checks is a usage error.  Trials run serially.
+Every flag a subcommand takes is read.  The experiment subcommands (phase,
+timing, scaling, noise) are the kinds in ``bench.EXPERIMENTS``; ``--config``
+sets their ``bench.ExperimentSpec`` fields but ``kind``, and a spec that
+fails its checks is a usage error.  Trials run serially.
 
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
 Any other error is a bug and ends the command with its traceback.
@@ -81,12 +82,16 @@ def _load_config(text: str | None) -> dict:
     return cfg
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument(
-        "--config", help="JSON object (inline or file path) with extra settings"
-    )
+_COMMON_FLAGS = {
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--out": dict(help="output path"),
+    "--config": dict(help="JSON object (inline or file path) with extra settings"),
+}
+
+
+def _add_common(parser, *flags) -> None:
+    for flag in flags or _COMMON_FLAGS:
+        parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -103,7 +108,7 @@ def build_parser() -> _Parser:
         help="wrap-around frequency separation (default: none enforced)",
     )
     p_gen.add_argument("--damped", action="store_true", help="draw damped modes")
-    _add_common(p_gen)
+    _add_common(p_gen, "--seed", "--out")
 
     p_rec = sub.add_parser("recover", help="run a solver on saved observations")
     p_rec.add_argument("--input", required=True, help="observations (.ssig.json)")
@@ -123,7 +128,7 @@ def build_parser() -> _Parser:
         _add_common(sub.add_parser(kind, help=experiment.help))
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
-    _add_common(p_self)
+    _add_common(p_self, "--out")
 
     return parser
 
@@ -185,10 +190,10 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = _load_config(args.config)
-    spec_kwargs = dict(kind=args.command, seed=args.seed)
-    spec_kwargs.update(overrides)
+    if "kind" in overrides:
+        raise UsageError(f"--config cannot set kind: {args.command} names it")
     try:
-        spec = bench.ExperimentSpec(**spec_kwargs)
+        spec = bench.ExperimentSpec(kind=args.command, **{"seed": args.seed, **overrides})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     try:

@@ -5,9 +5,10 @@ factorization of the lifted signal -- one factor with M = Z Z^T in
 :mod:`hankel_scs.shgd`, two with M = Z_U Z_V^H in :mod:`hankel_scs.pgd` --
 by the same projected scheme Z <- P_C(Z - eta * grad f(Z)).  This module
 holds what they share: the configuration and result types, the input checks
-at the solver boundary, mask splitting, the loss terms, the step rule and
-the iteration loop (:func:`descend`).  Each solver passes its factorization
-in as callbacks: evaluation, gradient, projection and signal read-back.
+at the solver boundary, mask splitting, the loss terms, the step rule, the
+radius of P_C (:func:`projection_radius`) and the iteration loop
+(:func:`descend`).  Each solver passes its factorization in as callbacks:
+evaluation, gradient and projection.
 
 Normalization.  :func:`check_inputs` divides the observations by a power of
 four S near their largest magnitude, so the solvers always see O(1) data and
@@ -61,8 +62,9 @@ class SolverConfig:
     """Knobs for the projected gradient solvers (shared by the baseline).
 
     ``step_policy`` is "backtracking" (Armijo halving from
-    eta0_scale/sigma_1(M0)) or "fixed" (eta_prime/sigma_1(M0)).  ``mu`` left
-    as None estimates the incoherence from the initialization factor.  With
+    eta0_scale/sigma_1(M0)) or "fixed" (eta_prime/sigma_1(M0)).  ``mu`` sets
+    both solvers' radius of P_C (:func:`projection_radius`); left as None,
+    each solver estimates it from its initialization factors.  With
     ``sample_splitting`` the mask is split into K+1 equal parts (remainder
     round-robin): part 0 initializes, parts 1..K are cycled per iteration.
     """
@@ -171,12 +173,23 @@ def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
     return Z * scale[:, None]
 
 
-def max_row_energy(F: np.ndarray) -> float:
-    """||F_normalized||_{2,inf}^2: largest squared row norm after unit-norm columns."""
-    col_norms = np.linalg.norm(F, axis=0)
+def estimate_mu(F0: np.ndarray, n: int, r: int) -> float:
+    """Incoherence proxy max(1, n ||U0||_{2,inf}^2 / (2r)), U0 = F0 with unit columns."""
+    col_norms = np.linalg.norm(F0, axis=0)
     col_norms[col_norms == 0] = 1.0
-    U0 = F / col_norms[None, :]
-    return float((np.abs(U0) ** 2).sum(axis=1).max())
+    energy = float((np.abs(F0 / col_norms[None, :]) ** 2).sum(axis=1).max())
+    return max(n * energy / (2 * r), 1.0)
+
+
+def projection_radius(F0: np.ndarray, n: int, sigma1: float,
+                      config: SolverConfig) -> tuple[float, float]:
+    """(radius, mu) of P_C: radius = 2 sqrt(mu r sigma / n) with sigma =
+    sigma1 / (1 - epsilon0) and mu = ``config.mu``, or ``estimate_mu(F0, n,
+    r)`` when that is None.  The symmetric factor passes its lift's length n,
+    each rectangular factor twice its row count."""
+    sigma = sigma1 / (1.0 - config.epsilon0)
+    mu = config.mu if config.mu is not None else estimate_mu(F0, n, config.r)
+    return 2.0 * math.sqrt(mu * config.r * sigma / n), mu
 
 
 def data_scale(observed: np.ndarray) -> float:
@@ -244,12 +257,16 @@ def _phase_data(y_obs, iter_counts, dtype):
     return y_obs.astype(dtype, copy=False), counts
 
 
+def _signal(state: State) -> np.ndarray:
+    """Sample-domain iterate D^{-1} g; both solvers' lifts have (n + 1) // 2 rows."""
+    return hankel_ops.apply_D_inv(state.g, n_rows=(len(state.g) + 1) // 2)
+
+
 def descend(
     *,
     evaluate,
     gradient,
     project,
-    signal_of,
     Zs0,
     y_obs,
     iter_counts,
@@ -257,24 +274,24 @@ def descend(
     sigma1: float,
     n_out: int,
     factor_of,
+    mu: float,
     scale: float = 1.0,
     step_scale: float = 1.0,
-    mu: float = 0.0,
     truth=None,
     gap_of=None,
 ) -> RecoveryResult:
     """Projected-gradient loop shared by the one- and two-factor solvers.
 
     ``evaluate(Zs, y_obs, counts, p, counter)`` returns a :class:`State`,
-    ``gradient(state, p, counter)`` the per-factor gradients, ``project(Zs)``
-    the factors on the constraint set (skipped with ``config.projection``
-    off) and ``signal_of(state)`` the sample-domain iterate.  The first step
-    is ``step_scale`` times the configured numerator over ``sigma1``.  The
-    result keeps ``n_out`` samples and ``factor_of(Zs)`` as ``Z_final``;
-    ``gap_of(state)`` fills each record's balancing gap.  Inputs are in
-    units of the data scale ``scale`` (see :func:`check_inputs`), and the
-    result is rescaled to the caller's units; the precision schedule is in
-    the module docstring.
+    ``gradient(state, p, counter)`` the per-factor gradients and
+    ``project(Zs)`` the factors on the constraint set (skipped with
+    ``config.projection`` off).  The first step is ``step_scale`` times the
+    configured numerator over ``sigma1``.  The result keeps ``n_out``
+    samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as the incoherence
+    that set the projection radius; ``gap_of(state)`` fills each record's
+    balancing gap.  Inputs are in units of the data scale ``scale`` (see
+    :func:`check_inputs`), and the result is rescaled to the caller's units;
+    the precision schedule is in the module docstring.
     """
     if not config.projection:
         project = lambda Zs: Zs  # noqa: E731
@@ -289,7 +306,7 @@ def descend(
     Zs = tuple(Z.astype(dtype, copy=False) for Z in Zs0)
     state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
-    x_prev = signal_of(state)
+    x_prev = _signal(state)
     history: list[IterRecord] = []
     termination = "max_iters"
     single_iters = since_low = 0
@@ -303,7 +320,7 @@ def descend(
             counts, p = phase_counts[k % len(phase_counts)]
             Zs = tuple(Z.astype(dtype, copy=False) for Z in state.Zs)
             state = evaluate(Zs, y, counts, p, counter)
-            x_prev = signal_of(state)
+            x_prev = _signal(state)
         grads = gradient(state, p, counter)
 
         def _candidate(eta):
@@ -330,7 +347,7 @@ def descend(
                 ))
                 break
 
-        x_new = signal_of(new_state)
+        x_new = _signal(new_state)
         denom = float(np.linalg.norm(x_prev))
         delta = float(np.linalg.norm(x_new - x_prev))
         rel_change = delta / denom if denom > 0 else (0.0 if delta == 0 else float("inf"))

@@ -213,6 +213,20 @@ def lift_operator(u: np.ndarray, n_rows: int):
     return apply, applyH, (n_rows, n_cols)
 
 
+def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
+    """(G*(A B^T), FA, FB), FA and FB the padded column FFTs (FA again when
+    ``B is A``).  It calls no public kernel, so wrappers see one call."""
+    n = A.shape[0] + B.shape[0] - 1
+    nfft = _fft_len(n)
+    FA = scipy.fft.fft(A, nfft, axis=0)
+    FB = FA if B is A else scipy.fft.fft(B, nfft, axis=0)
+    conv = scipy.fft.ifft((FA * FB).sum(axis=1))[:n]
+    if counter is not None:
+        counter.add(A.shape[1])
+    _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
+    return conv * inv_sqrt_w, FA, FB
+
+
 def gstar_outer(
     A: np.ndarray,
     B: np.ndarray,
@@ -226,20 +240,8 @@ def gstar_outer(
     FFTs (FA, FB) come back too: FB doubles as the conj-spectrum for
     correlating against conj(B), and FA against conj(conj(A)).
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    n = A.shape[0] + B.shape[0] - 1
-    nfft = _fft_len(n)
-    FA = scipy.fft.fft(A, nfft, axis=0)
-    FB = FA if B is A else scipy.fft.fft(B, nfft, axis=0)
-    conv = scipy.fft.ifft((FA * FB).sum(axis=1))[:n]
-    if counter is not None:
-        counter.add(A.shape[1])
-    _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
-    out = conv * inv_sqrt_w
-    if return_spectra:
-        return out, FA, FB
-    return out
+    out, FA, FB = _gstar_conv(np.asarray(A), np.asarray(B), counter)
+    return (out, FA, FB) if return_spectra else out
 
 
 def gstar_gram(
@@ -249,19 +251,11 @@ def gstar_gram(
 ):
     """G*(Z Z^T) for a square-lift factor Z via r column self-convolutions.
 
-    With ``return_spectrum`` the padded column FFTs are returned as well so a
-    following :func:`g_apply_times_conj` can reuse them.
+    Equals ``gstar_outer(Z, Z)``.  With ``return_spectrum`` the padded column
+    FFTs come back too, for a following :func:`g_apply_times_conj`.
     """
     Z = np.asarray(Z)
-    n_s = Z.shape[0]
-    n = 2 * n_s - 1
-    nfft = _fft_len(n)
-    FZ = scipy.fft.fft(Z, nfft, axis=0)
-    conv = scipy.fft.ifft((FZ * FZ).sum(axis=1))[:n]
-    if counter is not None:
-        counter.add(Z.shape[1])
-    _, _, inv_sqrt_w = _weights(n_s, n_s, _real_dtype(conv))
-    out = conv * inv_sqrt_w
+    out, FZ, _ = _gstar_conv(Z, Z, counter)
     return (out, FZ) if return_spectrum else out
 
 

@@ -17,13 +17,12 @@ w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
 two n_i r^2 products.  Even n needs no zero-padding: the rectangular lift
-absorbs it (n_1 = n/2, n_2 = n/2 + 1).  The iteration loop, step policies and
-result type are the symmetric solver's, from :mod:`hankel_scs.descent`.
+absorbs it (n_1 = n/2, n_2 = n/2 + 1).  The iteration loop, step policies,
+projection radius and result type are the symmetric solver's, from
+:mod:`hankel_scs.descent`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -130,18 +129,6 @@ def rect_spectral_init(
     return U * root, V * root, float(sig[0])
 
 
-def _factor_radius(F0: np.ndarray, sigma: float, r: int) -> float:
-    """Row-clipping radius for one rectangular factor.
-
-    Mirrors the symmetric rule with the factor's own row count standing in
-    for n/2: radius = 2 sqrt(mu_F r sigma / (2 n_F)) with
-    mu_F = max(1, n_F ||F0_normalized||_{2,inf}^2 / r).
-    """
-    n_F = F0.shape[0]
-    mu_F = max(1.0, n_F * descent.max_row_energy(F0) / r)
-    return 2.0 * math.sqrt(mu_F * r * sigma / (2 * n_F))
-
-
 def pgd_recover(
     observed: np.ndarray,
     mask: SamplingMask,
@@ -152,7 +139,8 @@ def pgd_recover(
 
     Same stopping rules, step policies, and result shape as the symmetric
     solver; history records additionally carry the balancing gap
-    ||Z_U^H Z_U - Z_V^H Z_V||_F.
+    ||Z_U^H Z_U - Z_V^H Z_V||_F.  Each factor is clipped to its own radius;
+    the result's ``mu`` is the larger of the two factors'.
     """
     observed, truth, scale = descent.check_inputs(observed, mask, x_true)
     n = observed.shape[0]
@@ -161,15 +149,13 @@ def pgd_recover(
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
     Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed)
-    sigma = sigma1 / (1.0 - config.epsilon0)
-    radius_U = _factor_radius(Z_U0, sigma, config.r)
-    radius_V = _factor_radius(Z_V0, sigma, config.r)
+    radius_U, mu_U = descent.projection_radius(Z_U0, 2 * Z_U0.shape[0], sigma1, config)
+    radius_V, mu_V = descent.projection_radius(Z_V0, 2 * Z_V0.shape[0], sigma1, config)
 
     return descent.descend(
         evaluate=_evaluate_pair,
         gradient=_gradients_pair,
         project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
-        signal_of=lambda st: hankel_ops.apply_D_inv(st.g, n_rows=n_1),
         Zs0=(Z_U0, Z_V0),
         y_obs=y_obs,
         iter_counts=iter_counts,
@@ -185,6 +171,7 @@ def pgd_recover(
         # doubling here reproduces it: per-iteration progress then matches the
         # symmetric solver at the same configured eta'.
         step_scale=2.0,
+        mu=max(mu_U, mu_V),
         truth=truth,
         gap_of=lambda st: float(np.linalg.norm(st.aux[-1])),
     )

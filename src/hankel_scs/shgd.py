@@ -19,15 +19,13 @@ the Hermitian gram A = Z^H Z (real because A is Hermitian).
 
 Iterations follow the projected scheme Z <- P_C(Z - eta * grad f(Z)) from a
 spectral (truncated Takagi) initialization, where P_C clips factor rows to
-the incoherence radius 2 sqrt(mu r sigma / n).  The iteration loop, the
-configuration and the result types live in :mod:`hankel_scs.descent`,
-shared with the two-factor baseline in :mod:`hankel_scs.pgd`; they are
-re-exported here.
+the incoherence radius 2 sqrt(mu r sigma / n).  That radius, the iteration
+loop, the configuration and the result types live in
+:mod:`hankel_scs.descent`, shared with the two-factor baseline in
+:mod:`hankel_scs.pgd`; they are re-exported here.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,18 +34,13 @@ from .descent import (  # noqa: F401  (re-exported solver API)
     IterRecord,
     RecoveryResult,
     SolverConfig,
+    estimate_mu,
     fixed_step,
     project_C,
     result_to_dict,
     save_result,
 )
 from .signal_model import SamplingMask
-
-
-def estimate_mu(Z0: np.ndarray, n: int, r: int) -> float:
-    """Incoherence proxy n ||U0||_{2,inf}^2 / (2r) from an unnormalized factor."""
-    mu = n * descent.max_row_energy(Z0) / (2 * r)
-    return max(mu, 1.0)
 
 
 def _pad_odd(observed: np.ndarray, mask: SamplingMask):
@@ -114,15 +107,12 @@ def recover(
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
     Z0, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed)
-    sigma = sigma1 / (1.0 - config.epsilon0)
-    mu = config.mu if config.mu is not None else estimate_mu(Z0, n, config.r)
-    radius = 2.0 * math.sqrt(mu * config.r * sigma / n)
+    radius, mu = descent.projection_radius(Z0, n, sigma1, config)
 
     return descent.descend(
         evaluate=lambda Zs, *args: _evaluate(Zs[0], *args),
         gradient=_gradient,
         project=lambda Zs: (project_C(Zs[0], radius),),
-        signal_of=lambda st: hankel_ops.apply_D_inv(st.g),
         Zs0=(Z0,),
         y_obs=y_obs,
         iter_counts=iter_counts,

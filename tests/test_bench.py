@@ -130,7 +130,7 @@ def test_programming_error_in_a_trial_propagates(monkeypatch, run, kwargs):
 ])
 def test_spec_rejects_ranks_the_signal_length_cannot_hold(kwargs):
     with pytest.raises(ValueError, match=r"n >= 2r-1"):
-        bench.ExperimentSpec(trials=1, **kwargs)
+        bench.ExperimentSpec(**kwargs)
 
 
 def test_spec_accepts_the_largest_rank_that_fits():
@@ -153,18 +153,32 @@ def test_spec_accepts_the_largest_rank_that_fits():
     (dict(kind="phase", r_values=(), p_values=()), r"\['p_values', 'r_values'\] must hold"),
     (dict(kind="scaling", n=500), r"does not use \['n'\]"),
     (dict(kind="phase", r=3, m_values=(20,)), r"does not use \['m_values', 'r'\]"),
+    (dict(kind="scaling", trials=1), r"does not use \['trials'\]"),  # one solve per rung
+    (dict(kind="phase", reps=2), r"does not use \['reps'\]"),
+    (dict(kind="phase", targets=(1e-3,)), r"does not use \['targets'\]"),
+    (dict(kind="noise", reps=2), r"does not use \['reps'\]"),
+    (dict(kind="noise", targets=(1e-3,)), r"does not use \['targets'\]"),
+    (dict(kind="timing", solver="pgd"), r"does not use \['solver'\]"),  # runs both
+    (dict(kind="phase", trials=0), "trials must be >= 1"),
+    (dict(kind="timing", reps=0), "reps must be >= 1"),
+    (dict(kind="noise", solver="bogus"), "unknown solver"),
 ])
 def test_spec_rejects_sizes_out_of_range(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        bench.ExperimentSpec(trials=1, **kwargs)
+        bench.ExperimentSpec(**kwargs)
 
 
 @pytest.mark.parametrize("kind, sizes", [
     ("phase", dict(n=127, r_values=list(range(1, 17)),
-                   p_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])),
-    ("timing", dict(n=2046, r=150, m=876)),
-    ("scaling", dict(n=None, r=30, m=512)),  # rows carry each rung's n
-    ("noise", dict(n=127, r=12, m_values=[60, 120])),
+                   p_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+                   trials=20, solver="shgd", reps=None, targets=None)),
+    ("timing", dict(n=2046, r=150, m=876, trials=20, reps=3,
+                    targets=list(bench.TIMING_TARGETS), solver=None)),
+    # Rows carry each rung's n, and each rung runs one solve.
+    ("scaling", dict(n=None, r=30, m=512, solver="shgd",
+                     trials=None, reps=None, targets=None)),
+    ("noise", dict(n=127, r=12, m_values=[60, 120],
+                   trials=20, solver="shgd", reps=None, targets=None)),
 ])
 def test_sidecar_echoes_the_sizes_a_defaulted_spec_runs(tmp_path, kind, sizes):
     spec = bench.ExperimentSpec(kind=kind)
@@ -309,7 +323,7 @@ def test_scaling_passes_solver_overrides_to_the_solve(monkeypatch):
     monkeypatch.setitem(bench._SOLVERS, "shgd", fake_solve)
     monkeypatch.setattr(bench, "SCALING_EXPONENTS", (6, 7))
     spec = bench.ExperimentSpec(kind="scaling", r=3, m=40,
-                                trials=1, solver_overrides=dict(eta_prime=0.5))
+                                solver_overrides=dict(eta_prime=0.5))
     res = bench.run_scaling(spec)
     assert [row["n"] for row in res.rows] == [62, 126]
     assert [c.eta_prime for c in configs] == [0.5, 0.5]
@@ -504,6 +518,9 @@ def test_cli_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
         ("phase", dict(n=31, r_values=[2], p_values=[1.5], trials=1)),
         ("noise", dict(n=0, r=0, trials=1)),
         ("timing", dict(n=31, r=2, m=0, trials=1)),
+        # The subcommand names the kind; a spec of another kind is refused.
+        ("phase", dict(kind="noise", n=31, r=2, m_values=[20], sigma_values=[0.01],
+                       trials=1)),
     ):
         assert cli.main([kind, "--config", json.dumps(config), "--out", str(out)]) == 1
     assert not out.exists()
@@ -544,6 +561,18 @@ def test_cli_offers_every_experiment_kind():
         assert parser.parse_args([kind]).command == kind
     with pytest.raises(ValueError, match="unknown experiment kind"):
         bench.ExperimentSpec(kind="selftest")
+
+
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
+    for argv in (
+        ["gen", "--config", "not-json", "--out", str(tmp_path / "s.json")],
+        ["selftest", "--seed", "1"],
+        ["selftest", "--config", '{"x": 1}'],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_cli_selftest_exit_codes(tmp_path, monkeypatch):

@@ -215,3 +215,21 @@ def test_pgd_result_json_carries_balancing_gap(tmp_path, rng):
     doc = json.loads(path.read_text())
     assert all("balancing_gap" in rec for rec in doc["history"])
     assert all(rec["balancing_gap"] >= 0 for rec in doc["history"])
+
+
+def test_default_solves_report_an_estimated_mu_of_at_least_one():
+    _, x, mask, observed = make_instance(63, 3, 40, 0, min_sep=1.5 / 63)
+    cfg = shgd.SolverConfig(r=3, max_iters=5, seed=0)
+    for solve in (shgd.recover, pgd.pgd_recover):
+        assert solve(observed, mask, cfg).mu >= 1.0
+
+
+def test_pgd_honours_the_configured_mu():
+    """``mu`` sets both factors' clipping radius, as in the symmetric solver."""
+    _, x, mask, observed = make_instance(63, 3, 40, 0, min_sep=1.5 / 63)
+    base = dict(r=3, max_iters=30, seed=0)
+    default = pgd.pgd_recover(observed, mask, shgd.SolverConfig(**base))
+    pinned = pgd.pgd_recover(observed, mask, shgd.SolverConfig(mu=1e-3, **base))
+    assert pinned.mu == 1e-3
+    # A radius this small clips every row, so the iterates must differ.
+    assert not np.array_equal(pinned.x_hat, default.x_hat)
