@@ -90,7 +90,7 @@ _COMMON_FLAGS = {
 
 
 def _add_common(parser, *flags) -> None:
-    for flag in flags or _COMMON_FLAGS:
+    for flag in flags:
         parser.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
@@ -122,10 +122,10 @@ def build_parser() -> _Parser:
     )
     p_rec.add_argument("--tol", type=float, default=1e-7, help="relative-change stop")
     p_rec.add_argument("--max-iters", type=int, default=1000)
-    _add_common(p_rec)
+    _add_common(p_rec, *_COMMON_FLAGS)
 
     for kind, experiment in bench.EXPERIMENTS.items():
-        _add_common(sub.add_parser(kind, help=experiment.help))
+        _add_common(sub.add_parser(kind, help=experiment.help), *_COMMON_FLAGS)
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     _add_common(p_self, "--out")
@@ -189,11 +189,11 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = _load_config(args.config)
-    if "kind" in overrides:
+    settings = {"seed": args.seed, **_load_config(args.config)}
+    if "kind" in settings:
         raise UsageError(f"--config cannot set kind: {args.command} names it")
     try:
-        spec = bench.ExperimentSpec(kind=args.command, **{"seed": args.seed, **overrides})
+        spec = bench.ExperimentSpec(kind=args.command, **settings)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     try:

@@ -144,13 +144,13 @@ def pgd_recover(
     """
     observed, truth, scale = descent.check_inputs(observed, mask, x_true)
     n = observed.shape[0]
-    n_1, _ = rect_dims(n)
+    n_1, n_2 = rect_dims(n)
     y_obs = hankel_ops.apply_D(observed, n_rows=n_1)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
     Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed)
-    radius_U, mu_U = descent.projection_radius(Z_U0, 2 * Z_U0.shape[0], sigma1, config)
-    radius_V, mu_V = descent.projection_radius(Z_V0, 2 * Z_V0.shape[0], sigma1, config)
+    radius_U, mu_U = descent.projection_radius(Z_U0, 2 * n_1, sigma1, config)
+    radius_V, mu_V = descent.projection_radius(Z_V0, 2 * n_2, sigma1, config)
 
     return descent.descend(
         evaluate=_evaluate_pair,
