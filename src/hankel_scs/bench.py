@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import freq_est, hankel_ops, lowrank, metrics, pgd, shgd, signal_model
+from . import descent, freq_est, hankel_ops, lowrank, metrics, pgd, shgd, signal_model
 
 SUCCESS_REL_ERR = 1e-3
 TIMING_TARGETS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
@@ -54,11 +54,12 @@ class ExperimentSpec:
     applied on top of the kind's solver defaults; they may not set ``r`` or
     ``seed``, which each trial sets.
 
-    Settings are checked here, before any trial is solved: n, ranks, sample
-    counts, trials and reps must be at least 1, a rank must fit the signal
-    length (n >= 2r - 1), sample counts may not exceed n, sampling ratios
-    lie in (0, 1], noise levels are finite and non-negative, axes are not
-    empty, and the solver must exist.
+    Settings are checked here, before any trial is solved: the seed, n,
+    ranks, sample counts, trials and reps must be integers
+    (:func:`descent.as_int`), all but the seed at least 1, a rank must fit
+    the signal length (n >= 2r - 1), sample counts may not exceed n,
+    sampling ratios lie in (0, 1], noise levels are finite and non-negative,
+    axes are not empty, and the solver must exist.
     """
 
     kind: str
@@ -96,10 +97,15 @@ class ExperimentSpec:
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, value)
-        for name, cast in (("r_values", int), ("p_values", float), ("m_values", int),
-                           ("sigma_values", float), ("targets", float)):
+        for name, least in (("seed", 0), ("n", 1), ("trials", 1), ("reps", 1), ("r", None),
+                            ("m", None), ("r_values", None), ("m_values", None)):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, tuple(descent.as_int(name, v, least) for v in value)
+                        if name.endswith("_values") else descent.as_int(name, value, least))
+        for name in ("p_values", "sigma_values", "targets"):
             if getattr(self, name) is not None:
-                setattr(self, name, tuple(cast(v) for v in getattr(self, name)))
+                setattr(self, name, tuple(float(v) for v in getattr(self, name)))
         empty = sorted(name for name in defaults if getattr(self, name) == ())
         if empty:
             raise ValueError(f"{empty} must hold at least one value")
@@ -108,8 +114,6 @@ class ExperimentSpec:
     def _check_sizes(self) -> None:
         # The scaling ladder's shortest rung bounds its rank and sample count.
         n = 2 ** min(SCALING_EXPONENTS) - 2 if self.kind == "scaling" else self.n
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         for r in self.r_values if self.kind == "phase" else (self.r,):
             if r < 1:
                 raise ValueError(f"ranks must be >= 1, got {r}")
@@ -118,9 +122,6 @@ class ExperimentSpec:
                     f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, "
                     f"but this {self.kind} run uses n={n}"
                 )
-        for name in ("trials", "reps"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.solver is not None and self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         for p in self.p_values or ():

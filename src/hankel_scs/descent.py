@@ -47,6 +47,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,59 +58,60 @@ SINGLE_UNTIL = 1e-5  # rel_change that ends a fixed-step solve's complex64 phase
 STALL_ITERS = 25  # complex64 iterations without a new low of rel_change that end it too
 
 
+def as_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``: the rule for every integer
+    setting, which refuses a bool or a fraction instead of truncating it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass
 class SolverConfig:
-    """Knobs for the projected gradient solvers (shared by the baseline).
+    """Settings of both solvers; every solve reads each of them.
 
-    ``step_policy`` is "backtracking" (Armijo halving from
-    eta0_scale/sigma_1(M0)) or "fixed" (eta_prime/sigma_1(M0)).  ``mu`` sets
-    both solvers' radius of P_C (:func:`projection_radius`); left as None,
-    each solver estimates it from its initialization factors.  With
-    ``sample_splitting`` the mask is split into K+1 equal parts (remainder
-    round-robin): part 0 initializes, parts 1..K are cycled per iteration.
+    Both step policies start from eta_prime/sigma_1(M0): "fixed" keeps that
+    step and "backtracking" multiplies it by :attr:`beta` per failed Armijo
+    test.  ``mu`` sets both solvers' radius of P_C (:func:`projection_radius`);
+    left as None, each solver estimates it, and ``math.inf`` never clips.
+    ``K`` >= 1 splits the mask into K+1 equal parts (remainder round-robin):
+    part 0 initializes, parts 1..K are cycled per iteration; 0 splits nothing.
     """
+
+    beta: ClassVar[float] = 0.5
+    c_armijo: ClassVar[float] = 1e-4
+    max_halvings: ClassVar[int] = 30
+    epsilon0: ClassVar[float] = 0.1  # sigma = sigma_1 / (1 - epsilon0) in the radius
 
     r: int
     max_iters: int = 1000
     rel_change_tol: float = 1e-7
     step_policy: str = "backtracking"
     eta_prime: float = 0.75
-    beta: float = 0.5
-    c_armijo: float = 1e-4
-    eta0_scale: float = 0.75
-    max_halvings: int = 30
-    projection: bool = True
     mu: float | None = None
-    epsilon0: float = 0.1
-    sample_splitting: bool = False
-    K: int = 10
+    K: int = 0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.rel_change_tol < 0:
-            raise ValueError("rel_change_tol must be >= 0")
+        for name, least in (("r", 1), ("max_iters", 0), ("K", 0)):
+            setattr(self, name, as_int(name, getattr(self, name), least))
+        if self.seed is not None:
+            self.seed = as_int("seed", self.seed, 0)
+        if not self.rel_change_tol >= 0:
+            raise ValueError(f"rel_change_tol must be >= 0, got {self.rel_change_tol}")
         if self.step_policy not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step_policy {self.step_policy!r}")
-        if self.eta_prime <= 0:
-            raise ValueError("eta_prime must be positive")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0 < self.c_armijo < 1:
-            raise ValueError("c_armijo must lie in (0, 1)")
-        if self.eta0_scale <= 0:
-            raise ValueError("eta0_scale must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be >= 0")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if not 0 <= self.epsilon0 < 1:
-            raise ValueError("epsilon0 must lie in [0, 1)")
-        if self.sample_splitting and self.K < 1:
-            raise ValueError("sample splitting needs K >= 1")
+        if not 0 < self.eta_prime < math.inf:
+            raise ValueError(f"eta_prime must be positive and finite, got {self.eta_prime}")
+        if self.mu is not None and not self.mu > 0:
+            raise ValueError(f"mu must be positive (inf never clips), got {self.mu}")
+
+    @property
+    def eta0_scale(self) -> float:
+        """Read-only alias of ``eta_prime``, the backtracking numerator."""
+        return self.eta_prime
 
 
 @dataclass
@@ -226,8 +228,8 @@ def check_inputs(observed, mask: SamplingMask, x_true=None):
 
 
 def split_for_iterations(mask: SamplingMask, config: SolverConfig):
-    """(init mask, per-iteration (counts, p) pairs); splitting as in SolverConfig."""
-    if not config.sample_splitting:
+    """(init mask, per-iteration (counts, p) pairs); splitting by ``config.K``."""
+    if config.K == 0:
         return mask, [(hankel_ops.mask_counts(mask), mask.p)]
     perm = np.random.default_rng(config.seed).permutation(np.asarray(mask.indices))
     parts = [
@@ -284,20 +286,16 @@ def descend(
 
     ``evaluate(Zs, y_obs, counts, p, counter)`` returns a :class:`State`,
     ``gradient(state, p, counter)`` the per-factor gradients and
-    ``project(Zs)`` the factors on the constraint set (skipped with
-    ``config.projection`` off).  The first step is ``step_scale`` times the
-    configured numerator over ``sigma1``.  The result keeps ``n_out``
-    samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as the incoherence
-    that set the projection radius; ``gap_of(state)`` fills each record's
-    balancing gap.  Inputs are in units of the data scale ``scale`` (see
-    :func:`check_inputs`), and the result is rescaled to the caller's units;
-    the precision schedule is in the module docstring.
+    ``project(Zs)`` the factors on the constraint set.  Each iteration's
+    first step is ``step_scale * config.eta_prime / sigma1``.  The result
+    keeps ``n_out`` samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as
+    the incoherence that set the projection radius; ``gap_of(state)`` fills
+    each record's balancing gap.  Inputs are in units of the data scale
+    ``scale`` (see :func:`check_inputs`), and the result is rescaled to the
+    caller's units; the precision schedule is in the module docstring.
     """
-    if not config.projection:
-        project = lambda Zs: Zs  # noqa: E731
     counter = hankel_ops.OpCounter()
-    numerator = config.eta_prime if config.step_policy == "fixed" else config.eta0_scale
-    eta0 = fixed_step(sigma1, step_scale * numerator)
+    eta0 = fixed_step(sigma1, step_scale * config.eta_prime)
     mixed = config.step_policy == "fixed" and config.rel_change_tol < SINGLE_UNTIL
     dtype = np.complex64 if mixed else np.complex128
     y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
@@ -328,11 +326,9 @@ def descend(
             return evaluate(project(Zs), y, counts, p, counter)
 
         eta = eta0
-        if config.step_policy == "fixed":
-            new_state = _candidate(eta)
-        else:
+        new_state = _candidate(eta)
+        if config.step_policy == "backtracking":
             gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
-            new_state = _candidate(eta)
             for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:
                     break

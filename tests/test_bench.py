@@ -162,6 +162,16 @@ def test_spec_accepts_the_largest_rank_that_fits():
     (dict(kind="phase", trials=0), "trials must be >= 1"),
     (dict(kind="timing", reps=0), "reps must be >= 1"),
     (dict(kind="noise", solver="bogus"), "unknown solver"),
+    # Integer settings are never truncated.
+    (dict(kind="phase", r_values=(2.7,)), "r_values must be an integer"),
+    (dict(kind="phase", trials=2.5), "trials must be an integer"),
+    (dict(kind="timing", n=31.5), "n must be an integer"),
+    (dict(kind="timing", m=876.0), "m must be an integer"),
+    (dict(kind="timing", reps=True), "reps must be an integer"),
+    (dict(kind="noise", r=2.0), "r must be an integer"),
+    (dict(kind="noise", m_values=(60, 120.5)), "m_values must be an integer"),
+    (dict(kind="phase", seed=1.5), "seed must be an integer"),
+    (dict(kind="phase", seed=-1), "seed must be >= 0"),
 ])
 def test_spec_rejects_sizes_out_of_range(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -465,7 +475,7 @@ def test_cli_solver_failure_exit_code(tmp_path):
                      "--seed", "2", "--out", str(sig)]) == 0
     code = cli.main([
         "recover", "--input", str(sig), "--rank", "2",
-        "--step", "fixed:500", "--config", '{"projection": false}',
+        "--step", "fixed:500", "--config", '{"mu": Infinity}',
         "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
@@ -518,6 +528,10 @@ def test_cli_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
         ("phase", dict(n=31, r_values=[2], p_values=[1.5], trials=1)),
         ("noise", dict(n=0, r=0, trials=1)),
         ("timing", dict(n=31, r=2, m=0, trials=1)),
+        ("phase", dict(n=31, r_values=[2.7], p_values=[0.5], trials=1)),
+        ("phase", dict(n=31, r_values=[2], p_values=[0.5], trials=2.5)),
+        ("timing", dict(n=31.5, r=2, m=20, trials=1, reps=1)),
+        ("noise", dict(n=31, r=2, m_values=[20.5], sigma_values=[0.01], trials=1)),
         # The subcommand names the kind; a spec of another kind is refused.
         ("phase", dict(kind="noise", n=31, r=2, m_values=[20], sigma_values=[0.01],
                        trials=1)),
@@ -552,6 +566,41 @@ def test_cli_rejects_bad_solver_overrides(tmp_path):
                          "--out", str(tmp_path / "x.csv")]) == 1
         with pytest.raises(ValueError, match="solver_overrides"):
             bench.ExperimentSpec(kind="phase", solver_overrides=overrides)
+
+
+def _recover_with_config(tmp_path, config: str) -> int:
+    sig = tmp_path / "sig.ssig.json"
+    assert cli.main(["gen", "--n", "31", "--rank", "2", "--m", "20",
+                     "--seed", "0", "--out", str(sig)]) == 0
+    return cli.main(["recover", "--input", str(sig), "--rank", "2", "--config", config,
+                     "--out", str(tmp_path / "r.json")])
+
+
+# Former SolverConfig fields: the step numerator is eta_prime under both
+# policies, the Armijo and radius constants are class constants, mu = inf
+# turns the clipping off and K = 0 the splitting.
+REMOVED_SETTINGS = dict(eta0_scale=0.5, beta=0.5, c_armijo=1e-4, max_halvings=30,
+                        projection=False, epsilon0=0.1, sample_splitting=True)
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_SETTINGS))
+def test_removed_solver_settings_are_rejected(tmp_path, name):
+    setting = {name: REMOVED_SETTINGS[name]}
+    with pytest.raises(TypeError):
+        shgd.SolverConfig(r=2, **setting)
+    with pytest.raises(ValueError, match="solver_overrides"):
+        bench.ExperimentSpec(kind="phase", solver_overrides=setting)
+    assert _recover_with_config(tmp_path, json.dumps(setting)) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"max_iters": 3.5}', '{"K": true}', '{"rel_change_tol": NaN}',
+    '{"mu": NaN}', '{"eta_prime": Infinity}',
+])
+def test_cli_recover_rejects_bad_solver_values(tmp_path, config):
+    assert _recover_with_config(tmp_path, config) == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_offers_every_experiment_kind():

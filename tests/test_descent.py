@@ -1,5 +1,7 @@
 """What both solvers share: input checks at the boundary and the step record."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,18 +38,44 @@ def test_solvers_are_scale_equivariant(solve, scale):
 
 
 @pytest.mark.parametrize("max_halvings", [0, 1, 3])
-def test_recorded_armijo_step_is_the_last_step_tried(max_halvings):
-    # A first step at eta0_scale=50 fails every Armijo test, so all
+def test_recorded_armijo_step_is_the_last_step_tried(monkeypatch, max_halvings):
+    # A first step at eta_prime=50 fails every Armijo test, so all
     # max_halvings + 1 candidates run and the last one tried is recorded.
+    monkeypatch.setattr(shgd.SolverConfig, "max_halvings", max_halvings)
     _, x, mask, observed = make_instance(63, 3, 40, 0)
-    config = shgd.SolverConfig(r=3, eta0_scale=50, projection=False,
-                               max_halvings=max_halvings, max_iters=1, seed=0)
+    config = shgd.SolverConfig(r=3, eta_prime=50, mu=math.inf, max_iters=1, seed=0)
     result = shgd.recover(observed, mask, config)
     rec = result.history[0]
     # One gradient and max_halvings + 1 candidate losses, r passes each.
     assert rec.fft_passes == 3 * (max_halvings + 2)
-    eta0 = descent.fixed_step(result.sigma1_M0, config.eta0_scale)
+    eta0 = descent.fixed_step(result.sigma1_M0, config.eta_prime)
     assert rec.step == pytest.approx(eta0 * config.beta ** max_halvings, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_backtracking_starts_from_eta_prime(solve):
+    _, x, mask, observed = make_instance(63, 3, 40, 0)
+    default = solve(observed, mask, shgd.SolverConfig(r=3, max_iters=20, seed=0))
+    smaller = solve(observed, mask,
+                    shgd.SolverConfig(r=3, max_iters=20, eta_prime=0.3, seed=0))
+    assert smaller.history[0].step == pytest.approx(0.4 * default.history[0].step)
+    assert not np.array_equal(smaller.x_hat, default.x_hat)
+
+
+@pytest.mark.parametrize("module, solve", [(shgd, shgd.recover), (pgd, pgd.pgd_recover)])
+@pytest.mark.parametrize("step", [dict(step_policy="backtracking"),
+                                  dict(step_policy="fixed", rel_change_tol=1e-9)])
+def test_infinite_mu_never_projects(monkeypatch, module, solve, step):
+    # mu = inf is how a solve runs without P_C: the radius is infinite, so
+    # project_C returns its input and the solve matches one without it.
+    _, x, mask, observed = make_instance(63, 3, 40, 0)
+    config = shgd.SolverConfig(r=3, max_iters=60, mu=math.inf, seed=0, **step)
+    unbounded = solve(observed, mask, config)
+    monkeypatch.setattr(module, "project_C", lambda Z, radius: Z)
+    unprojected = solve(observed, mask, config)
+    assert unbounded.x_hat.tobytes() == unprojected.x_hat.tobytes()
+    assert [rec.loss for rec in unbounded.history] == [rec.loss for rec in unprojected.history]
+    assert unbounded.mu == math.inf
 
 
 @pytest.mark.parametrize("solve", SOLVERS)

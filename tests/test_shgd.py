@@ -38,17 +38,22 @@ def weighted_instance(rng, n=31, r=3, m=None, sigma_e=0.0):
     dict(r=0),
     dict(r=2, step_policy="adam"),
     dict(r=2, eta_prime=0.0),
-    dict(r=2, beta=1.0),
-    dict(r=2, beta=0.0),
-    dict(r=2, c_armijo=0.0),
-    dict(r=2, c_armijo=1.0),
     dict(r=2, mu=0.0),
-    dict(r=2, epsilon0=1.0),
-    dict(r=2, sample_splitting=True, K=0),
-    dict(r=2, max_halvings=-3),
+    dict(r=2, K=-1),
     dict(r=2, max_iters=-1),
-    dict(r=2, eta0_scale=-1),
     dict(r=2, rel_change_tol=-1),
+    dict(r=2.5),
+    dict(r=True),
+    dict(r=2, max_iters=3.5),
+    dict(r=2, max_iters=True),
+    dict(r=2, K=1.5),
+    dict(r=2, K=True),
+    dict(r=2, rel_change_tol=math.nan),
+    dict(r=2, mu=math.nan),
+    dict(r=2, eta_prime=math.inf),
+    dict(r=2, eta_prime=math.nan),
+    dict(r=2, seed=1.5),
+    dict(r=2, seed=-1),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -249,7 +254,7 @@ def test_recover_divergence_guard(rng):
     _, x, mask, observed = make_instance(63, 3, 40, rng)
     cfg = shgd.SolverConfig(
         r=3, max_iters=200, step_policy="fixed", eta_prime=500.0, seed=0,
-        projection=False,
+        mu=math.inf,
     )
     res = shgd.recover(observed, mask, cfg)
     assert res.termination == "diverged"
@@ -277,8 +282,7 @@ def test_projection_inactive_at_convergence(rng):
 def test_sample_splitting_still_recovers(rng):
     _, x, mask, observed = make_instance(127, 3, 90, rng, min_sep=1.5 / 127)
     cfg = shgd.SolverConfig(
-        r=3, max_iters=400, rel_change_tol=1e-8, seed=4,
-        sample_splitting=True, K=5,
+        r=3, max_iters=400, rel_change_tol=1e-8, seed=4, K=5,
     )
     res = shgd.recover(observed, mask, cfg)
     assert np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-2
