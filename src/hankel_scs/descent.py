@@ -35,7 +35,12 @@ on in double precision under the unchanged stopping rule; ``tol_reached`` is
 only ever decided in double precision.  Backtracking solves never leave
 complex128: Armijo compares losses that single precision cannot resolve near
 the switch.  Looser tolerances would leave nothing to finish in double
-precision, so they also run in complex128 throughout.
+precision, so they also run in complex128 throughout.  :func:`opening_dtype`
+is this rule, and both solvers' spectral inits follow it too: a solve that
+opens in complex64 runs its init's subspace rounds in complex64, then one
+complex128 Rayleigh-Ritz step finishes the init (see
+:func:`hankel_scs.lowrank.trunc_svd`), so the loop starts from the same
+kind of double-precision factor either way.
 ``RecoveryResult.single_iters`` counts the complex64 iterations.  A
 fixed-step run shorter than its complex64 phase, such as the 12 iterations
 of ``bench.run_scaling``, runs and times complex64 iterations only.
@@ -153,6 +158,14 @@ class State:
     masked: np.ndarray
     loss: float
     aux: tuple
+
+
+def opening_dtype(config: SolverConfig) -> type:
+    """complex64 for a solve that opens with the complex64 phase of the
+    precision schedule (a fixed step and ``rel_change_tol`` below
+    :data:`SINGLE_UNTIL`), complex128 otherwise."""
+    mixed = config.step_policy == "fixed" and config.rel_change_tol < SINGLE_UNTIL
+    return np.complex64 if mixed else np.complex128
 
 
 def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
@@ -296,8 +309,7 @@ def descend(
     """
     counter = hankel_ops.OpCounter()
     eta0 = fixed_step(sigma1, step_scale * config.eta_prime)
-    mixed = config.step_policy == "fixed" and config.rel_change_tol < SINGLE_UNTIL
-    dtype = np.complex64 if mixed else np.complex128
+    dtype = opening_dtype(config)
     y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
 
     counts, p = phase_counts[0]
@@ -305,6 +317,7 @@ def descend(
     state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
     x_prev = _signal(state)
+    truth_norm = float(np.linalg.norm(truth)) if truth is not None else None
     history: list[IterRecord] = []
     termination = "max_iters"
     single_iters = since_low = 0
@@ -358,9 +371,7 @@ def descend(
         if truth is not None:
             # Compare on the truth's own support: iterates may carry a padded
             # tail sample that the caller's reference signal does not cover.
-            rec.rel_err = float(
-                np.linalg.norm(x_new[: truth.shape[0]] - truth) / np.linalg.norm(truth)
-            )
+            rec.rel_err = float(np.linalg.norm(x_new[: truth.shape[0]] - truth) / truth_norm)
         if gap_of is not None:
             rec.balancing_gap = gap_of(new_state)
         history.append(rec)

@@ -12,7 +12,8 @@ convolutions of length next-pow2 >= n.
 Rectangular lifts (n_rows + n_cols - 1 = n) are supported throughout so the
 asymmetric-factorization baseline can share the kernels.  Every kernel keeps
 the precision of its input: complex64 factors give complex64 results, with
-the skew-diagonal weights cached once per precision.
+the skew-diagonal weights cached once per precision, and the lift operator
+acts in the precision of each block it is given.
 """
 
 from __future__ import annotations
@@ -201,14 +202,24 @@ def hankel_corr(
 
 def lift_operator(u: np.ndarray, n_rows: int):
     """``(apply, applyH, dims)`` of the Hankel lift H(u) with ``n_rows`` rows:
-    the block actions V -> H(u) V and U -> H(u)^H U, and (n_rows, n_cols)."""
+    the block actions V -> H(u) V and U -> H(u)^H U, and (n_rows, n_cols).
+
+    Each action runs in the precision of the block it is given: ``u`` is cast
+    once per precision, so complex64 blocks give complex64 results."""
     n_cols = u.shape[0] - n_rows + 1
+    cast = {}
+
+    def u_for(block):
+        if block.dtype not in cast:
+            dtype = np.result_type(block.dtype, np.complex64)
+            cast[block.dtype] = u.astype(dtype, copy=False)
+        return cast[block.dtype]
 
     def apply(V):
-        return hankel_corr(u, V, n_rows)
+        return hankel_corr(u_for(V), V, n_rows)
 
     def applyH(U):
-        return np.conj(hankel_corr(u, np.conj(U), n_cols))
+        return np.conj(hankel_corr(u_for(U), np.conj(U), n_cols))
 
     return apply, applyH, (n_rows, n_cols)
 

@@ -82,9 +82,8 @@ def _gradients_pair(state: descent.State, p, counter=None):
     w = state.masked / p - state.g
     h = hankel_ops.apply_D_inv(w, n_rows=n_1)
     gw_V = hankel_ops.hankel_corr(h, Z_V, n_1, counter=counter, cbar_spectrum=FVbar)
-    gw_U = np.conj(hankel_ops.hankel_corr(
-        h, np.conj(Z_U), n_2, counter=counter, cbar_spectrum=FU
-    ))
+    # With the spectrum passed, hankel_corr reads only Z_U's column count.
+    gw_U = np.conj(hankel_ops.hankel_corr(h, Z_U, n_2, counter=counter, cbar_spectrum=FU))
     if counter is not None:
         counter.add_flops((n_1 + n_2) * Z_U.shape[1] ** 2)
     grad_U = 0.5 * gw_V + Z_U @ (0.5 * GV + 0.25 * B)
@@ -111,11 +110,13 @@ def rect_spectral_init(
     mask: SamplingMask,
     r: int,
     seed=None,
+    dtype=np.complex128,
 ):
     """Truncated SVD of the rescaled partial rectangular lift.
 
     Returns (Z_U0, Z_V0, sigma1) with Z_U0 = U Sigma^{1/2}, Z_V0 = V Sigma^{1/2}
-    (exactly balanced).
+    (exactly balanced), in complex128 whatever ``dtype``, the precision of
+    the subspace rounds (see :func:`hankel_scs.lowrank.trunc_svd`).
     """
     n = observed_y.shape[0]
     n_1, _ = rect_dims(n)
@@ -123,7 +124,7 @@ def rect_spectral_init(
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask), n_rows=n_1) / p_hat
     U, sig, V = lowrank.lift_svd(
         u, n_1, r, seed=seed, tol=lowrank.INIT_TOL,
-        max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14,
+        max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14, dtype=dtype,
     )
     root = np.sqrt(sig)[None, :]
     return U * root, V * root, float(sig[0])
@@ -148,7 +149,8 @@ def pgd_recover(
     y_obs = hankel_ops.apply_D(observed, n_rows=n_1)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
-    Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed)
+    Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed,
+                                            dtype=descent.opening_dtype(config))
     radius_U, mu_U = descent.projection_radius(Z_U0, 2 * n_1, sigma1, config)
     radius_V, mu_V = descent.projection_radius(Z_V0, 2 * n_2, sigma1, config)
 

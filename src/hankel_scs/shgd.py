@@ -106,7 +106,8 @@ def recover(
     y_obs = hankel_ops.apply_D(observed)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
-    Z0, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed)
+    Z0, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed,
+                                       dtype=descent.opening_dtype(config))
     radius, mu = descent.projection_radius(Z0, n, sigma1, config)
 
     return descent.descend(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hankel_scs import descent, hankel_ops, pgd, shgd
+from hankel_scs import descent, hankel_ops, lowrank, pgd, shgd
 from conftest import make_instance
 
 SOLVERS = (shgd.recover, pgd.pgd_recover)
@@ -165,3 +165,51 @@ def test_stall_rule_ends_the_complex64_phase(monkeypatch):
     assert min(rec.rel_change for rec in result.history[:k]) > 1e-12
     assert result.history[-1].rel_change <= 1e-13
     assert result.history[-1].rel_err < 1e-10
+
+
+@pytest.mark.parametrize("overrides, dtype", [
+    (dict(step_policy="fixed", rel_change_tol=1e-9), np.complex64),
+    (dict(step_policy="fixed", rel_change_tol=descent.SINGLE_UNTIL), np.complex128),
+    (dict(step_policy="backtracking", rel_change_tol=1e-9), np.complex128),
+])
+def test_opening_dtype_is_the_schedule_rule(overrides, dtype):
+    assert descent.opening_dtype(shgd.SolverConfig(r=2, **overrides)) == dtype
+
+
+INITS = ((shgd.recover, lowrank, "spectral_init"),
+         (pgd.pgd_recover, pgd, "rect_spectral_init"))
+
+
+def _init_dtypes(monkeypatch, module, name, force=None) -> list:
+    """Record the precision each solve asks of its init, optionally overriding it."""
+    asked = []
+    init = getattr(module, name)
+
+    def recording(*args, dtype, **kwargs):
+        asked.append(dtype)
+        return init(*args, dtype=force or dtype, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return asked
+
+
+@pytest.mark.parametrize("solve, module, name", INITS)
+def test_fixed_step_solves_open_their_init_in_complex64(monkeypatch, solve, module, name):
+    asked = _init_dtypes(monkeypatch, module, name)
+    _, x, mask, observed = make_instance(127, 4, 76, 0)
+    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    result = solve(observed, mask, config, x_true=x)
+    assert asked == [np.complex64]
+    assert result.termination == "tol_reached"
+    assert result.history[-1].rel_err < 1e-8
+
+
+@pytest.mark.parametrize("solve, module, name", INITS)
+def test_backtracking_solves_keep_a_double_precision_init(monkeypatch, solve, module, name):
+    _, x, mask, observed = make_instance(127, 4, 76, 1)
+    config = shgd.SolverConfig(r=4, rel_change_tol=1e-9, seed=0)
+    base = solve(observed, mask, config)
+    asked = _init_dtypes(monkeypatch, module, name, force=np.complex128)
+    forced = solve(observed, mask, config)
+    assert asked == [np.complex128]
+    assert np.array_equal(forced.x_hat, base.x_hat)

@@ -87,3 +87,14 @@ def test_rank_deficient_signal_raises():
     x = signal_model.synthesize(model)  # true rank 1
     with pytest.raises(lowrank.RankDeficiencyError):
         freq_est.esprit(x, 3)
+
+
+def test_amplitudes_match_the_complex_power_vandermonde():
+    model = signal_model.random_model(
+        127, 5, rng=np.random.default_rng(3), min_sep=0.03, damped=True)
+    x = signal_model.synthesize(model)
+    est = freq_est.esprit(x, 5)
+    poles = np.exp(-est.dampings + 2j * np.pi * est.freqs)
+    vand = poles[None, :] ** np.arange(x.shape[0])[:, None]
+    amps = np.linalg.lstsq(vand, x, rcond=None)[0]
+    assert np.max(np.abs(est.amps - amps)) <= 1e-12 * np.max(np.abs(amps))

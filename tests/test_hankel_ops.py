@@ -408,3 +408,28 @@ def test_kernels_keep_single_precision(rng, kernel):
     assert single.dtype == np.complex64
     assert double.dtype == np.complex128
     assert rel(single, double) <= 2e-6
+
+
+def test_lift_operator_acts_in_the_precision_of_its_block(rng, monkeypatch):
+    u = rand_complex(rng, 63)
+    apply, applyH, (n_rows, n_cols) = hankel_ops.lift_operator(u, 20)
+    V = rand_complex(rng, n_cols, 3)
+    U = rand_complex(rng, n_rows, 3)
+    M = hankel_ops.lift_dense(u, n_rows=20)
+    # Double-precision blocks take the kernel's path unchanged.
+    assert np.array_equal(apply(V), hankel_ops.hankel_corr(u, V, n_rows))
+    signals = []
+    hankel_corr = hankel_ops.hankel_corr
+
+    def recording(h, C, *args, **kwargs):
+        signals.append(h)
+        return hankel_corr(h, C, *args, **kwargs)
+
+    monkeypatch.setattr(hankel_ops, "hankel_corr", recording)
+    for act, block, want in ((apply, V, M @ V), (applyH, U, M.conj().T @ U)):
+        single = act(block.astype(np.complex64))
+        assert single.dtype == signals[-1].dtype == np.complex64
+        assert rel(single, want) <= 1e-5
+        assert act(block).dtype == signals[-1].dtype == np.complex128
+    # u is cast once per precision, not once per product.
+    assert len({id(h) for h in signals}) == 2

@@ -274,3 +274,99 @@ def test_spectral_init_rank_too_large(rng):
     y = hankel_ops.apply_D(x)
     with pytest.raises((ValueError, lowrank.RankDeficiencyError)):
         lowrank.spectral_init(y, mask, 9, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# complex64 subspace rounds with a double-precision finish
+# ---------------------------------------------------------------------------
+
+def _in_block_precision(M):
+    """Actions of M that run in the precision of the block they are given."""
+    single = M.astype(np.complex64)
+
+    def pick(V):
+        return single if V.dtype == np.complex64 else M
+
+    return (lambda V: pick(V) @ V), (lambda U: pick(U).conj().T @ U)
+
+
+def test_trunc_svd_finishes_complex64_rounds_in_double(rng):
+    M, s = random_rank_k(rng, 60, 50, 5)
+    seen = []
+    apply, applyH = _in_block_precision(M)
+
+    def recording(U):
+        seen.append(U.dtype)
+        return applyH(U)
+
+    U, sigma, V = lowrank.trunc_svd(apply, recording, (60, 50), 5, seed=0,
+                                    tol=1e-3, max_rounds=4, dtype=np.complex64)
+    # The rounds ran in complex64, then one double-precision applyH.
+    assert seen[:-1] and set(seen[:-1]) == {np.dtype(np.complex64)}
+    assert seen[-1] == np.complex128
+    assert U.dtype == V.dtype == np.complex128 and sigma.dtype == np.float64
+    assert rel(U.conj().T @ U, np.eye(5)) <= 1e-12
+    assert rel(V.conj().T @ V, np.eye(5)) <= 1e-12
+    # Ritz values err in the square of the single-precision subspace angle.
+    assert np.max(np.abs(sigma - s)) <= 1e-12 * s[0]
+
+
+def _sampled_lift(n=127, r=4, m=76, seed=1):
+    _, _, mask, observed = make_instance(n, r, m, seed, min_sep=1.5 / n)
+    return observed, mask
+
+
+def _spy_trunc_svd(monkeypatch) -> list:
+    """Record (dtype of the rounds, U, V) of every ``lowrank.trunc_svd`` call."""
+    calls = []
+    trunc_svd = lowrank.trunc_svd
+
+    def spying(*args, **kwargs):
+        U, sig, V = trunc_svd(*args, **kwargs)
+        calls.append((kwargs.get("dtype", np.complex128), U, V))
+        return U, sig, V
+
+    monkeypatch.setattr(lowrank, "trunc_svd", spying)
+    return calls
+
+
+@pytest.mark.parametrize("rect", [False, True])
+def test_complex64_inits_are_double_precision_factors(monkeypatch, rect):
+    observed, mask = _sampled_lift()
+    r = 4
+    if rect:
+        y = hankel_ops.apply_D(observed, n_rows=hankel_ops.rect_dims(127)[0])
+
+        def init(dtype):
+            Z_U, Z_V, s1 = pgd.rect_spectral_init(y, mask, r, seed=0, dtype=dtype)
+            return (Z_U, Z_V), s1
+    else:
+        y = hankel_ops.apply_D(observed)
+
+        def init(dtype):
+            Z0, s1 = lowrank.spectral_init(y, mask, r, seed=0, dtype=dtype)
+            return (Z0,), s1
+
+    calls = _spy_trunc_svd(monkeypatch)
+    factors, s1 = init(np.complex64)
+    (dtype, U, V), = calls
+    assert dtype == np.complex64
+    for Q in (U, V):
+        assert Q.dtype == np.complex128
+        assert rel(Q.conj().T @ Q, np.eye(r)) <= 1e-12
+    # The returned factors are F = Q diag(sigma)^(1/2) with Q orthonormal.
+    for F in factors:
+        assert F.dtype == np.complex128
+        gram = F.conj().T @ F
+        assert rel(gram, np.diag(np.diag(gram).real)) <= 1e-12
+    _, s1_double = init(np.complex128)
+    assert s1 == pytest.approx(s1_double, rel=1e-5)
+
+
+def test_complex64_inits_still_refuse_a_rank_deficient_lift(rng):
+    x, mask = full_mask_instance(rng, n=63, r=2)  # lift of rank exactly 2
+    with pytest.raises(lowrank.RankDeficiencyError):
+        lowrank.spectral_init(hankel_ops.apply_D(x), mask, 4, seed=0, dtype=np.complex64)
+    y = hankel_ops.apply_D(x, n_rows=hankel_ops.rect_dims(63)[0])
+    with pytest.raises(lowrank.RankDeficiencyError):
+        pgd.rect_spectral_init(y, mask, 4, seed=0, dtype=np.complex64)
