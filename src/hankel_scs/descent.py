@@ -178,13 +178,16 @@ def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
 def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
     """Clip factor rows to 2-norm ``radius`` (idempotent).
 
-    ``Z`` itself comes back when no row is longer than ``radius``.
+    ``Z`` itself comes back when no row is longer than ``radius``.  Row
+    energies are summed from the real and imaginary parts, so no complex
+    temporary is made; the square root is taken only for rows that clip.
     """
-    norms = np.linalg.norm(Z, axis=1)
-    if not (norms > radius).any():
+    energy = np.einsum("ij,ij->i", Z.real, Z.real) + np.einsum("ij,ij->i", Z.imag, Z.imag)
+    clip = energy > radius * radius
+    if not clip.any():
         return Z
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(norms > radius, radius / norms, 1.0)
+    scale = np.ones_like(energy)
+    scale[clip] = radius / np.sqrt(energy[clip])
     return Z * scale[:, None]
 
 
@@ -272,6 +275,11 @@ def _phase_data(y_obs, iter_counts, dtype):
     return y_obs.astype(dtype, copy=False), counts
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a 1-D vector, cheaper than ``np.linalg.norm`` at desk sizes."""
+    return math.sqrt(float(np.real(np.vdot(v, v))))
+
+
 def _signal(state: State) -> np.ndarray:
     """Sample-domain iterate D^{-1} g; both solvers' lifts have (n + 1) // 2 rows."""
     return hankel_ops.apply_D_inv(state.g, n_rows=(len(state.g) + 1) // 2)
@@ -313,11 +321,14 @@ def descend(
     y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
 
     counts, p = phase_counts[0]
-    Zs = tuple(Z.astype(dtype, copy=False) for Z in Zs0)
+    # Factors stay column-major, the layout the Hankel kernels transform
+    # without a strided copy (see hankel_ops).
+    Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in Zs0)
     state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
     x_prev = _signal(state)
-    truth_norm = float(np.linalg.norm(truth)) if truth is not None else None
+    # A numpy scalar, so that an all-zero truth reads inf or nan as before.
+    truth_norm = np.float64(_norm(truth)) if truth is not None else None
     history: list[IterRecord] = []
     termination = "max_iters"
     single_iters = since_low = 0
@@ -329,7 +340,7 @@ def descend(
         if len(phase_counts) > 1 or state.Zs[0].dtype != dtype:
             # A new split part, or the first double-precision iteration.
             counts, p = phase_counts[k % len(phase_counts)]
-            Zs = tuple(Z.astype(dtype, copy=False) for Z in state.Zs)
+            Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in state.Zs)
             state = evaluate(Zs, y, counts, p, counter)
             x_prev = _signal(state)
         grads = gradient(state, p, counter)
@@ -357,8 +368,8 @@ def descend(
                 break
 
         x_new = _signal(new_state)
-        denom = float(np.linalg.norm(x_prev))
-        delta = float(np.linalg.norm(x_new - x_prev))
+        denom = _norm(x_prev)
+        delta = _norm(x_new - x_prev)
         rel_change = delta / denom if denom > 0 else (0.0 if delta == 0 else float("inf"))
         rec = IterRecord(
             k=k,
@@ -371,7 +382,7 @@ def descend(
         if truth is not None:
             # Compare on the truth's own support: iterates may carry a padded
             # tail sample that the caller's reference signal does not cover.
-            rec.rel_err = float(np.linalg.norm(x_new[: truth.shape[0]] - truth) / truth_norm)
+            rec.rel_err = float(_norm(x_new[: truth.shape[0]] - truth) / truth_norm)
         if gap_of is not None:
             rec.balancing_gap = gap_of(new_state)
         history.append(rec)

@@ -6,8 +6,18 @@ skew-diagonals, D is the diagonal map [Dx]_a = sqrt(w_a) x_a built from the
 skew-diagonal lengths w_a, and G = H D^{-1} is the normalized lift with
 G*G = I.  Everything here is matrix-free except the explicitly dense test
 oracles; the two products that dominate solver iterations --
-D^{-1}H*(A B^T) and H(D^{-1}v) C -- are computed by per-column FFT
-convolutions of length next-pow2 >= n.
+D^{-1}H*(A B^T) and H(D^{-1}v) C -- are computed by FFT convolutions of
+length nfft = next-pow2 >= n, one per factor column.
+
+Layout.  Each kernel pads a block's columns as the rows of a C-ordered
+(cols x nfft) buffer and transforms it in place along contiguous rows
+(:func:`_row_spectra`); the spectra passed between kernels have that
+(cols x nfft) shape, and :func:`hankel_corr` returns the (n_out x cols)
+transpose of its row-major result.  The solvers keep their factors
+column-major (Fortran-ordered), so a factor's columns are contiguous on the
+way in and the results come back column-major with nothing transposed.  Any
+layout is accepted; a C-ordered block only costs a strided copy into the
+buffer.
 
 Rectangular lifts (n_rows + n_cols - 1 = n) are supported throughout so the
 asymmetric-factorization baseline can share the kernels.  Every kernel keeps
@@ -165,6 +175,23 @@ def p_omega(x: np.ndarray, mask) -> np.ndarray:
     return np.asarray(x) * mask_counts(mask)
 
 
+def _row_spectra(X: np.ndarray, nfft: int, conj: bool = False) -> np.ndarray:
+    """FFTs of X's columns (of ``conj(X)``'s with ``conj``), zero-padded to
+    ``nfft``, as the rows of a (cols x nfft) C-ordered array transformed in
+    place.  The buffer is filled rather than zero-allocated: a zeroed block
+    of a few hundred kB or more can come back as fresh pages that fault on
+    first touch (263 minor faults per ``gstar_gram`` call at n_s=2048, r=8,
+    against none for the filled one)."""
+    n = X.shape[0]
+    buf = np.empty((X.shape[1], nfft), dtype=np.result_type(X.dtype, np.complex64))
+    if conj:
+        np.conjugate(X.T, out=buf[:, :n])
+    else:
+        buf[:, :n] = X.T
+    buf[:, n:] = 0
+    return scipy.fft.fft(buf, axis=-1, overwrite_x=True)
+
+
 def hankel_corr(
     h: np.ndarray,
     C: np.ndarray,
@@ -176,9 +203,11 @@ def hankel_corr(
 
     Uses out[:, l] = ifft(fft(h) * conj(fft(conj(c_l)))) truncated to n_out,
     exact because the padded length covers every index sum.  ``cbar_spectrum``
-    may carry the padded FFT of conj(C) to share transforms across kernels;
-    then only C's column count is read.  The logical per-column pass is
-    counted either way.
+    may carry the padded FFTs of conj(C)'s columns as (cols x nfft) rows to
+    share transforms across kernels; then only C's column count is read.  The
+    logical per-column pass is counted either way.  The result is the
+    (n_out x cols) transpose view of a row-major array, so its columns are
+    contiguous.
     """
     h = np.asarray(h)
     C = np.asarray(C)
@@ -189,12 +218,12 @@ def hankel_corr(
     nfft = _fft_len(n)
     H = scipy.fft.fft(h, nfft)
     if cbar_spectrum is None:
-        cbar_spectrum = scipy.fft.fft(np.conj(C), nfft, axis=0)
+        cbar_spectrum = _row_spectra(C, nfft, conj=True)
     # The product and the inverse transform reuse the fresh conjugate; the
     # caller's spectrum is never written.
     prod = np.conj(cbar_spectrum)
-    np.multiply(H[:, None], prod, out=prod)
-    out = scipy.fft.ifft(prod, axis=0, overwrite_x=True)[:n_out]
+    np.multiply(prod, H, out=prod)
+    out = scipy.fft.ifft(prod, axis=-1, overwrite_x=True)[:, :n_out].T
     if counter is not None:
         counter.add(C.shape[1])
     return out[:, 0] if single else out
@@ -225,13 +254,14 @@ def lift_operator(u: np.ndarray, n_rows: int):
 
 
 def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
-    """(G*(A B^T), FA, FB), FA and FB the padded column FFTs (FA again when
-    ``B is A``).  It calls no public kernel, so wrappers see one call."""
+    """(G*(A B^T), FA, FB), FA and FB the padded column FFTs as (cols x nfft)
+    rows (FA again when ``B is A``).  It calls no public kernel, so wrappers
+    see one call."""
     n = A.shape[0] + B.shape[0] - 1
     nfft = _fft_len(n)
-    FA = scipy.fft.fft(A, nfft, axis=0)
-    FB = FA if B is A else scipy.fft.fft(B, nfft, axis=0)
-    conv = scipy.fft.ifft((FA * FB).sum(axis=1))[:n]
+    FA = _row_spectra(A, nfft)
+    FB = FA if B is A else _row_spectra(B, nfft)
+    conv = scipy.fft.ifft((FA * FB).sum(axis=0))[:n]
     if counter is not None:
         counter.add(A.shape[1])
     _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
@@ -248,8 +278,9 @@ def gstar_outer(
 
     out[a] = (1/sqrt(w_a)) * sum_l (a_l * b_l)[a] with * linear convolution;
     one FFT pass per column pair.  With ``return_spectra`` the padded column
-    FFTs (FA, FB) come back too: FB doubles as the conj-spectrum for
-    correlating against conj(B), and FA against conj(conj(A)).
+    FFTs (FA, FB) come back too, as (cols x nfft) rows: FB doubles as the
+    conj-spectrum for correlating against conj(B), and FA against
+    conj(conj(A)).
     """
     out, FA, FB = _gstar_conv(np.asarray(A), np.asarray(B), counter)
     return (out, FA, FB) if return_spectra else out
@@ -263,7 +294,8 @@ def gstar_gram(
     """G*(Z Z^T) for a square-lift factor Z via r column self-convolutions.
 
     Equals ``gstar_outer(Z, Z)``.  With ``return_spectrum`` the padded column
-    FFTs come back too, for a following :func:`g_apply_times_conj`.
+    FFTs come back too, as (r x nfft) rows, for a following
+    :func:`g_apply_times_conj`.
     """
     Z = np.asarray(Z)
     out, FZ, _ = _gstar_conv(Z, Z, counter)
@@ -291,7 +323,8 @@ def g_apply_times_conj(
     """H(D^{-1}v) conj(Z) for the square lift, never materializing H.
 
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]).  ``z_spectrum`` may pass
-    the padded FFT of Z (= FFT of conj(conj(Z))) from :func:`gstar_gram`.
+    the padded (r x nfft) FFT rows of Z (= FFT of conj(conj(Z))) from
+    :func:`gstar_gram`.
     """
     v = np.asarray(v)
     n_s = HankelDims(v.shape[0]).n_s

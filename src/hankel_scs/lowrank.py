@@ -130,6 +130,10 @@ def trunc_svd(
     b = min(r + OVERSAMPLE, n_rows, n_cols)
     omega = rng.standard_normal((n_cols, b)) + 1j * rng.standard_normal((n_cols, b))
     Q, _ = _qr(apply(omega.astype(dtype, copy=False)))
+    # The Ritz pairs (SVD of R) are formed only where they are used: from
+    # round POWER_ITERS on, for the next round's convergence test, on the
+    # last round, and when R is zero, for the zero-operator exit.  So the
+    # test first runs in round POWER_ITERS + 1.
     prev = None
     resid = np.inf
     for rnd in range(1, max_rounds + 1):
@@ -141,13 +145,14 @@ def trunc_svd(
                 break
             pair_res = W @ Ub[:, :r] - V[:, :r] * sig[:r]
             resid = np.linalg.norm(pair_res, axis=0).max() / sig[0]
-            if rnd > POWER_ITERS and resid <= tol:
+            if resid <= tol:
                 break
         P, _ = _qr(W)
         Y = apply(P)
         Q, R = _qr(Y)
-        Ub, sig, Vbh = np.linalg.svd(R)
-        prev = (Ub, sig, P @ Vbh.conj().T)
+        if rnd >= POWER_ITERS or rnd == max_rounds or not R.any():
+            Ub, sig, Vbh = np.linalg.svd(R)
+            prev = (Ub, sig, P @ Vbh.conj().T)
     else:
         if strict:
             raise ConvergenceError(

@@ -69,7 +69,8 @@ def _gradient(state: descent.State, p, counter=None):
     gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
-    return (gw + Z @ np.conj(A),)
+    # Z conj(A) written so that a column-major Z gives a column-major product.
+    return (gw + (np.conj(A).T @ Z.T).T,)
 
 
 def loss(Z: np.ndarray, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:

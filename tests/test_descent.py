@@ -102,6 +102,50 @@ def test_project_C_returns_its_input_when_nothing_binds():
     assert np.array_equal(clipped, Z * np.array([0.5, 1.0, 1.0])[:, None])
 
 
+def _project_C_by_norms(Z, radius):
+    """P_C as it was first written: row norms, then radius / norm where clipped."""
+    norms = np.linalg.norm(Z, axis=1)
+    if not (norms > radius).any():
+        return Z
+    with np.errstate(divide="ignore"):
+        return Z * np.where(norms > radius, radius / norms, 1.0)[:, None]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_project_C_clips_rows_around_the_radius_as_by_norms(rng, dtype):
+    radius = 1.5
+    eps = np.finfo(dtype).eps
+    near = 1e3 * eps  # clear of the rounding of either way to measure a row
+    # Rows just inside, on and just outside the radius, and far from it.
+    factors = np.array([1 - near, 1.0, 1 + near, 1 + 1e-3, 0.5, 3.0, 0.0, 1e3])
+    target = radius * np.resize(factors, 40)
+    rows = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    Z = np.asfortranarray((rows * (target / np.linalg.norm(rows, axis=1))[:, None]).astype(dtype))
+    got = descent.project_C(Z, radius)
+    assert got.dtype == dtype
+    assert np.abs(got - _project_C_by_norms(Z, radius)).max() <= 4 * eps * radius
+    clear = np.abs(np.resize(factors, 40) - 1) >= near / 2
+    moved = np.any(got != Z, axis=1)
+    assert np.array_equal(moved[clear], np.resize(factors, 40)[clear] > 1)
+    assert np.all(np.linalg.norm(got, axis=1) <= radius * (1 + 4 * eps))
+    assert descent.project_C(Z, 3e3) is Z
+    assert descent.project_C(Z, math.inf) is Z
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("step", [dict(step_policy="backtracking"),
+                                  dict(step_policy="fixed", rel_change_tol=1e-9)])
+def test_solvers_keep_their_factors_column_major(solve, step):
+    # Column-major factors are the layout the Hankel kernels transform
+    # without a strided copy; the returned factors show the layout held.
+    _, x, mask, observed = make_instance(127, 4, 76, 0)
+    result = solve(observed, mask, shgd.SolverConfig(r=4, max_iters=30, seed=0, **step))
+    factors = (result.Z_final,) if solve is shgd.recover else (
+        result.Z_final.Z_U, result.Z_final.Z_V)
+    for Z in factors:
+        assert Z.flags.f_contiguous and not Z.flags.c_contiguous
+
+
 def _gram_dtypes(monkeypatch):
     """Record the factor precision of every evaluation of the symmetric solver."""
     seen = []

@@ -297,6 +297,75 @@ def test_fft_spectrum_reuse_paths_agree(rng):
     assert rel(reused, direct) <= 1e-14
 
 
+# Layouts: the kernels transform columns as contiguous rows, whatever the
+# layout of the block they are given.
+LAYOUTS = {
+    "C": lambda a: np.ascontiguousarray(a),
+    "F": lambda a: np.asfortranarray(a),
+    # Every other row of a twice-as-tall block: neither C- nor F-contiguous.
+    "sliced": lambda a: np.repeat(a, 2, axis=0)[::2],
+}
+
+
+def _layout_cases(rng):
+    n_1, n_2, r = 23, 18, 4
+    n = n_1 + n_2 - 1
+    n_s = 21
+    A = rand_complex(rng, n_1, r)
+    B = rand_complex(rng, n_2, r)
+    Z = rand_complex(rng, n_s, r)
+    h = rand_complex(rng, n)
+    v = rand_complex(rng, 2 * n_s - 1)
+    w_rect = loop_weights(n_1, n_2)
+    w_sq = loop_weights(n_s, n_s)
+    H = loop_lift(h, n_1, n_2)
+    G_v = loop_lift(v / np.sqrt(w_sq), n_s, n_s)
+    return {
+        "hankel_corr": (lambda L: hankel_ops.hankel_corr(h, L(B), n_1), H @ B),
+        "lift_apply": (lambda L: hankel_ops.lift_operator(h, n_1)[0](L(B)), H @ B),
+        "lift_applyH": (lambda L: hankel_ops.lift_operator(h, n_1)[1](L(A)), H.conj().T @ A),
+        "g_apply": (lambda L: hankel_ops.g_apply(h, L(B), n_1),
+                    loop_lift(h / np.sqrt(w_rect), n_1, n_2) @ B),
+        "gstar_gram": (lambda L: hankel_ops.gstar_gram(L(Z)),
+                       loop_adjoint(Z @ Z.T) / np.sqrt(w_sq)),
+        "gstar_outer": (lambda L: hankel_ops.gstar_outer(L(A), L(B)),
+                        loop_adjoint(A @ B.T) / np.sqrt(w_rect)),
+        "g_apply_times_conj": (lambda L: hankel_ops.g_apply_times_conj(v, L(Z)),
+                               G_v @ np.conj(Z)),
+        # The spectrum gstar_gram hands on, as the solver passes it.
+        "g_apply_times_conj_spectrum": (
+            lambda L: hankel_ops.g_apply_times_conj(
+                v, L(Z), z_spectrum=hankel_ops.gstar_gram(L(Z), return_spectrum=True)[1]),
+            G_v @ np.conj(Z)),
+        "hankel_corr_spectrum": (
+            lambda L: hankel_ops.hankel_corr(
+                h, L(B), n_1,
+                cbar_spectrum=hankel_ops.gstar_outer(L(A), np.conj(L(B)), return_spectra=True)[2]),
+            H @ B),
+    }
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kernel", sorted(_layout_cases(np.random.default_rng(0))))
+@pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-12), (np.complex64, 2e-5)])
+def test_kernels_match_dense_on_every_layout(rng, kernel, layout, dtype, tol):
+    run, want = _layout_cases(rng)[kernel]
+    got = run(lambda a: LAYOUTS[layout](a.astype(dtype)))
+    assert got.dtype == dtype
+    assert rel(got, want) <= tol
+
+
+def test_kernels_hand_on_row_spectra_and_column_major_results(rng):
+    # Spectra are (cols x nfft) rows; correlations come back with
+    # contiguous columns, so column-major factors stay column-major.
+    Z = np.asfortranarray(rand_complex(rng, 21, 4))
+    _, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
+    assert FZ.shape == (4, 64) and FZ.flags.c_contiguous
+    out = hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ)
+    assert out.shape == (21, 4) and out.strides[0] == out.itemsize
+    assert (out + Z).flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
 # Vandermonde decomposition and rank of model lifts
 # ---------------------------------------------------------------------------

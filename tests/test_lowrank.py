@@ -89,6 +89,49 @@ def test_trunc_svd_rejects_an_empty_round_budget(rng, strict):
                           max_rounds=0, strict=strict)
 
 
+@pytest.mark.parametrize("max_rounds", [1, 2])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_trunc_svd_short_budgets_return_orthonormal_factors(rng, max_rounds, dtype):
+    # Budgets that end before the first convergence test still factor the
+    # last round's basis.
+    M = rand_complex(rng, 60, 45)
+    apply, applyH = matvec_pair(M)
+    U, sigma, V = lowrank.trunc_svd(apply, applyH, (60, 45), 4, seed=0, tol=1e-300,
+                                    max_rounds=max_rounds, strict=False, dtype=dtype)
+    assert U.shape == (60, 4) and V.shape == (45, 4)
+    assert rel(U.conj().T @ U, np.eye(4)) <= 1e-12
+    assert rel(V.conj().T @ V, np.eye(4)) <= 1e-12
+    assert np.all(np.diff(sigma) <= 0)
+    want = np.linalg.svd(M, compute_uv=False)[:4]
+    assert np.all(sigma <= want * (1 + 1e-12)) and sigma[0] >= 0.5 * want[0]
+
+
+def test_trunc_svd_factors_only_the_rounds_it_tests(rng, monkeypatch):
+    # The convergence test first runs in round POWER_ITERS + 1, so no SVD
+    # is taken before round POWER_ITERS; a zero operator still exits at
+    # round 2, from the SVD of its zero R.
+    svds = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lowrank.np.linalg, "svd", counting)
+    M = rand_complex(rng, 40, 40)
+    apply, applyH = matvec_pair(M)
+    rounds = 6
+    lowrank.trunc_svd(apply, applyH, (40, 40), 3, seed=0, tol=1e-300,
+                      max_rounds=rounds, strict=False)
+    assert len(svds) == rounds - lowrank.POWER_ITERS + 1
+    svds.clear()
+    applied = []
+    zero = np.zeros((40, 40), dtype=complex)
+    lowrank.trunc_svd(lambda V: applied.append(1) or zero @ V, lambda U: zero @ U,
+                      (40, 40), 3, seed=0, max_rounds=rounds)
+    assert len(svds) == 1 and len(applied) == 2
+
+
 def test_trunc_svd_strict_nonconvergence_raises(rng):
     M = rand_complex(rng, 60, 60)  # full-rank noise: slow tail convergence
     apply, applyH = matvec_pair(M)
