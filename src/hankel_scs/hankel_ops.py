@@ -178,10 +178,9 @@ def p_omega(x: np.ndarray, mask) -> np.ndarray:
 def _row_spectra(X: np.ndarray, nfft: int, conj: bool = False) -> np.ndarray:
     """FFTs of X's columns (of ``conj(X)``'s with ``conj``), zero-padded to
     ``nfft``, as the rows of a (cols x nfft) C-ordered array transformed in
-    place.  The buffer is filled rather than zero-allocated: a zeroed block
-    of a few hundred kB or more can come back as fresh pages that fault on
-    first touch (263 minor faults per ``gstar_gram`` call at n_s=2048, r=8,
-    against none for the filled one)."""
+    place.  Only the padding is zeroed: the data part is overwritten anyway,
+    and a zero-allocated block of this size tends to come back as fresh
+    pages that fault on first touch."""
     n = X.shape[0]
     buf = np.empty((X.shape[1], nfft), dtype=np.result_type(X.dtype, np.complex64))
     if conj:
