@@ -175,6 +175,18 @@ def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
     return eta_prime / sigma1_M0
 
 
+def right_mul(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The n x r by r x r product Z M, column-major when ``Z`` is.
+
+    :func:`descend` holds the factors column-major, the layout the Hankel
+    kernels transform without a strided copy.  ``Z @ M`` would come back
+    row-major, and every sum with a kernel result, the update and
+    :func:`project_C` would then run strided; ``(M^T Z^T)^T`` keeps the
+    factor's layout.  Both gradients take their n x r^2 products here.
+    """
+    return (M.T @ Z.T).T
+
+
 def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
     """Clip factor rows to 2-norm ``radius`` (idempotent).
 
@@ -275,11 +287,6 @@ def _phase_data(y_obs, iter_counts, dtype):
     return y_obs.astype(dtype, copy=False), counts
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm of a 1-D vector, cheaper than ``np.linalg.norm`` at desk sizes."""
-    return math.sqrt(float(np.real(np.vdot(v, v))))
-
-
 def _signal(state: State) -> np.ndarray:
     """Sample-domain iterate D^{-1} g; both solvers' lifts have (n + 1) // 2 rows."""
     return hankel_ops.apply_D_inv(state.g, n_rows=(len(state.g) + 1) // 2)
@@ -321,14 +328,13 @@ def descend(
     y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
 
     counts, p = phase_counts[0]
-    # Factors stay column-major, the layout the Hankel kernels transform
-    # without a strided copy (see hankel_ops).
+    # Factors stay column-major (see right_mul); this cast and the one at
+    # each new phase below are the only places that set the layout.
     Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in Zs0)
     state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
     x_prev = _signal(state)
-    # A numpy scalar, so that an all-zero truth reads inf or nan as before.
-    truth_norm = np.float64(_norm(truth)) if truth is not None else None
+    truth_norm = float(np.linalg.norm(truth)) if truth is not None else None
     history: list[IterRecord] = []
     termination = "max_iters"
     single_iters = since_low = 0
@@ -368,8 +374,8 @@ def descend(
                 break
 
         x_new = _signal(new_state)
-        denom = _norm(x_prev)
-        delta = _norm(x_new - x_prev)
+        denom = float(np.linalg.norm(x_prev))
+        delta = float(np.linalg.norm(x_new - x_prev))
         rel_change = delta / denom if denom > 0 else (0.0 if delta == 0 else float("inf"))
         rec = IterRecord(
             k=k,
@@ -382,7 +388,7 @@ def descend(
         if truth is not None:
             # Compare on the truth's own support: iterates may carry a padded
             # tail sample that the caller's reference signal does not cover.
-            rec.rel_err = float(_norm(x_new[: truth.shape[0]] - truth) / truth_norm)
+            rec.rel_err = float(np.linalg.norm(x_new[: truth.shape[0]] - truth) / truth_norm)
         if gap_of is not None:
             rec.balancing_gap = gap_of(new_state)
         history.append(rec)

@@ -218,6 +218,11 @@ def hankel_corr(
     H = scipy.fft.fft(h, nfft)
     if cbar_spectrum is None:
         cbar_spectrum = _row_spectra(C, nfft, conj=True)
+    elif cbar_spectrum.shape != (C.shape[1], nfft):
+        raise ValueError(
+            f"cbar_spectrum must be (cols x nfft) = {(C.shape[1], nfft)}, "
+            f"got {cbar_spectrum.shape}"
+        )
     # The product and the inverse transform reuse the fresh conjugate; the
     # caller's spectrum is never written.
     prod = np.conj(cbar_spectrum)

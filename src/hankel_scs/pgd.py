@@ -86,10 +86,8 @@ def _gradients_pair(state: descent.State, p, counter=None):
     gw_U = np.conj(hankel_ops.hankel_corr(h, Z_U, n_2, counter=counter, cbar_spectrum=FU))
     if counter is not None:
         counter.add_flops((n_1 + n_2) * Z_U.shape[1] ** 2)
-    # Z M written as (M^T Z^T)^T, so that column-major factors give
-    # column-major products and every sum below runs unit-stride.
-    grad_U = 0.5 * gw_V + ((0.5 * GV + 0.25 * B).T @ Z_U.T).T
-    grad_V = 0.5 * gw_U + ((0.5 * GU - 0.25 * B).T @ Z_V.T).T
+    grad_U = 0.5 * gw_V + descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
+    grad_V = 0.5 * gw_U + descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
     return grad_U, grad_V
 
 

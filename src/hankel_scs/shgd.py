@@ -69,8 +69,7 @@ def _gradient(state: descent.State, p, counter=None):
     gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
-    # Z conj(A) written so that a column-major Z gives a column-major product.
-    return (gw + (np.conj(A).T @ Z.T).T,)
+    return (gw + descent.right_mul(Z, np.conj(A)),)
 
 
 def loss(Z: np.ndarray, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:

@@ -7,10 +7,20 @@ kernels and algebraic identities, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from hankel_scs import signal_model
+# BLAS runs on one thread in the test process, as in perfbench/run.py, and
+# this must happen before numpy loads.  numpy and scipy each bring their own
+# OpenBLAS; with two threads each, their worker pools contend for the cores
+# right after a scipy QR, and the timing tests (the scaling rungs, criterion
+# 4's ratio) then read scheduler slices instead of the solver's cost.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from hankel_scs import signal_model  # noqa: E402
 
 
 # ---------------------------------------------------------------------------

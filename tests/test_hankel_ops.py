@@ -364,6 +364,9 @@ def test_kernels_hand_on_row_spectra_and_column_major_results(rng):
     out = hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ)
     assert out.shape == (21, 4) and out.strides[0] == out.itemsize
     assert (out + Z).flags.f_contiguous
+    # A spectrum in the old (nfft x cols) layout is refused, not broadcast.
+    with pytest.raises(ValueError, match="cols x nfft"):
+        hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ.T)
 
 
 # ---------------------------------------------------------------------------
