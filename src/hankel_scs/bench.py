@@ -50,14 +50,15 @@ class ExperimentSpec:
     kind but timing, which runs both ``reps`` times to each of ``targets``.
     Fields left None take the kind's defaults in :data:`EXPERIMENTS`, so
     runners and the sidecar read the values that ran; a field the kind does
-    not read must stay None.  ``solver_overrides`` are keyword overrides
-    applied on top of the kind's solver defaults; they may not set ``r`` or
-    ``seed``, which each trial sets.
+    not read must stay None.  ``solver_overrides`` are ``SolverConfig``
+    fields applied on top of the kind's solver defaults by
+    :func:`solver_config`; they may not set ``r`` or ``seed``, which each
+    trial sets.
 
     Settings are checked here, before any trial is solved: the seed, n,
     ranks, sample counts, trials and reps must be integers
     (:func:`descent.as_int`), all but the seed at least 1, a rank must fit
-    the signal length (n >= 2r - 1), sample counts may not exceed n,
+    the signal length (:func:`descent.check_rank`), sample counts may not exceed n,
     sampling ratios lie in (0, 1], noise levels are finite and non-negative,
     axes are not empty, and the solver must exist.
     """
@@ -80,13 +81,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENTS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        reserved = sorted({"r", "seed"} & set(self.solver_overrides))
-        if reserved:
-            raise ValueError(f"solver_overrides cannot set {reserved}: "
-                             "each trial sets its own rank and seed")
         try:
-            shgd.SolverConfig(r=1, **self.solver_overrides)
-        except (TypeError, ValueError) as exc:
+            solver_config(1, None, self.solver_overrides, EXPERIMENTS[self.kind].solver_defaults)
+        except ValueError as exc:
             raise ValueError(f"bad solver_overrides: {exc}") from exc
         defaults = EXPERIMENTS[self.kind].defaults
         settings = {name for kind in EXPERIMENTS.values() for name in kind.defaults}
@@ -117,11 +114,7 @@ class ExperimentSpec:
         for r in self.r_values if self.kind == "phase" else (self.r,):
             if r < 1:
                 raise ValueError(f"ranks must be >= 1, got {r}")
-            if n < 2 * r - 1:
-                raise ValueError(
-                    f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, "
-                    f"but this {self.kind} run uses n={n}"
-                )
+            descent.check_rank(n, r)
         if self.solver is not None and self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         for p in self.p_values or ():
@@ -289,10 +282,23 @@ def _draw(seed: int, key: tuple, n: int, r: int, m: int, model, sigma_e: float =
     return x, mask, observed, solver_seed(ss)
 
 
-def _config(spec: ExperimentSpec, r: int, seed: int) -> shgd.SolverConfig:
+def solver_config(r: int, seed: int | None, overrides: dict,
+                  defaults: dict | None = None) -> descent.SolverConfig:
+    """``defaults`` with ``overrides`` on top at rank ``r`` and ``seed``: the
+    one builder of a user-set config.  ``overrides`` may not set ``r`` or
+    ``seed``, which the caller owns; any refused setting raises ValueError."""
+    reserved = sorted({"r", "seed"} & set(overrides))
+    if reserved:
+        raise ValueError(f"cannot set {reserved}: the caller sets the rank and seed")
+    try:
+        return descent.SolverConfig(r=r, seed=seed, **{**(defaults or {}), **overrides})
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _config(spec: ExperimentSpec, r: int, seed: int) -> descent.SolverConfig:
     """The kind's solver defaults with ``spec.solver_overrides`` on top."""
-    defaults = EXPERIMENTS[spec.kind].solver_defaults
-    return shgd.SolverConfig(r=r, seed=seed, **{**defaults, **spec.solver_overrides})
+    return solver_config(r, seed, spec.solver_overrides, EXPERIMENTS[spec.kind].solver_defaults)
 
 
 _Trial = namedtuple("_Trial", "err iters ms failure")

@@ -10,10 +10,13 @@ scaling   per-iteration solver cost versus signal length
 noise     reconstruction error versus noise level
 selftest  invariant suite with one verdict line per property
 
-Every flag a subcommand takes is read.  The experiment subcommands (phase,
-timing, scaling, noise) are the kinds in ``bench.EXPERIMENTS``; ``--config``
-sets their ``bench.ExperimentSpec`` fields but ``kind``, and a spec that
-fails its checks is a usage error.  Trials run serially.
+Every flag a subcommand takes is read, and each setting has one way in.
+``recover``'s ``--config`` holds ``SolverConfig`` fields but ``r`` and
+``seed``, which ``--rank`` and ``--seed`` set.  The experiment subcommands
+(phase, timing, scaling, noise) are the kinds in ``bench.EXPERIMENTS``, and
+their ``--config`` sets ``bench.ExperimentSpec`` fields but ``kind`` and
+``seed``.  A refused config or spec, or a rank the signal length cannot
+hold, is a usage error.  Trials run serially.
 
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
 Any other error is a bug and ends the command with its traceback.
@@ -27,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import bench, pgd, shgd, signal_model
+from . import bench, descent, pgd, shgd, signal_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,20 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     pass
-
-
-def _parse_step(text: str) -> dict:
-    """--step grammar: 'backtrack' or 'fixed:<eta_prime>'."""
-    if text in ("backtrack", "backtracking"):
-        return {"step_policy": "backtracking"}
-    if text.startswith("fixed:"):
-        try:
-            return {"step_policy": "fixed", "eta_prime": float(text[len("fixed:"):])}
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(
-        f"expected 'backtrack' or 'fixed:<eta_prime>', got {text!r}"
-    )
 
 
 def _load_config(text: str | None) -> dict:
@@ -116,12 +105,6 @@ def build_parser() -> _Parser:
     p_rec.add_argument(
         "--solver", choices=("shgd", "pgd"), default="shgd", help="solver choice"
     )
-    p_rec.add_argument(
-        "--step", type=_parse_step, default={"step_policy": "backtracking"},
-        help="'backtrack' or 'fixed:<eta_prime>'",
-    )
-    p_rec.add_argument("--tol", type=float, default=1e-7, help="relative-change stop")
-    p_rec.add_argument("--max-iters", type=int, default=1000)
     _add_common(p_rec, *_COMMON_FLAGS)
 
     for kind, experiment in bench.EXPERIMENTS.items():
@@ -158,15 +141,10 @@ def _cmd_recover(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"cannot load --input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    overrides = _load_config(args.config)
-    kwargs = dict(
-        r=args.rank, rel_change_tol=args.tol, max_iters=args.max_iters,
-        seed=args.seed, **args.step,
-    )
-    kwargs.update(overrides)
     try:
-        config = shgd.SolverConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        config = bench.solver_config(args.rank, args.seed, _load_config(args.config))
+        descent.check_rank(mask.n, config.r)
+    except ValueError as exc:
         print(f"bad solver configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     solve = shgd.recover if args.solver == "shgd" else pgd.pgd_recover
@@ -189,11 +167,12 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    settings = {"seed": args.seed, **_load_config(args.config)}
-    if "kind" in settings:
-        raise UsageError(f"--config cannot set kind: {args.command} names it")
+    settings = _load_config(args.config)
+    reserved = sorted({"kind", "seed"} & set(settings))
+    if reserved:
+        raise UsageError(f"--config cannot set {reserved}: the subcommand and --seed set them")
     try:
-        spec = bench.ExperimentSpec(kind=args.command, **settings)
+        spec = bench.ExperimentSpec(kind=args.command, seed=args.seed, **settings)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     try:

@@ -234,15 +234,24 @@ def data_scale(observed: np.ndarray) -> float:
     return math.ldexp(1.0, 2 * half_exp)
 
 
-def check_inputs(observed, mask: SamplingMask, x_true=None):
+def check_rank(n: int, r: int) -> None:
+    """The one rank rule: a length-n signal holds at most (n + 1) // 2 modes,
+    the row count of its square Hankel lift, so n >= 2r - 1."""
+    if n < 2 * r - 1:
+        raise ValueError(f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, got n={n}")
+
+
+def check_inputs(observed, mask: SamplingMask, r: int, x_true=None):
     """Validate a solver's inputs and normalize them.
 
     Returns (observed / S, truth / S, S) with complex arrays and S from
-    :func:`data_scale`; truth is None when ``x_true`` is.
+    :func:`data_scale`; truth is None when ``x_true`` is.  The rank is
+    checked against the caller's signal length (:func:`check_rank`).
     """
     observed = np.asarray(observed, dtype=complex)
     if observed.shape[0] != mask.n:
         raise ValueError("observation length and mask ambient length differ")
+    check_rank(mask.n, r)
     if not np.isfinite(observed).all():
         raise ValueError("observed samples must be finite")
     scale = data_scale(observed)
@@ -251,6 +260,8 @@ def check_inputs(observed, mask: SamplingMask, x_true=None):
         truth = np.asarray(x_true, dtype=complex)
         if truth.shape[0] != observed.shape[0]:
             raise ValueError("x_true length must match the observation length")
+        if not np.isfinite(truth).all():
+            raise ValueError("x_true must be finite")
         truth = truth / scale
     return observed / scale, truth, scale
 

@@ -143,7 +143,7 @@ def pgd_recover(
     ||Z_U^H Z_U - Z_V^H Z_V||_F.  Each factor is clipped to its own radius;
     the result's ``mu`` is the larger of the two factors'.
     """
-    observed, truth, scale = descent.check_inputs(observed, mask, x_true)
+    observed, truth, scale = descent.check_inputs(observed, mask, config.r, x_true)
     n = observed.shape[0]
     n_1, n_2 = rect_dims(n)
     y_obs = hankel_ops.apply_D(observed, n_rows=n_1)

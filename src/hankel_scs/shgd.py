@@ -99,7 +99,7 @@ def recover(
     ``x_true`` is optional instrumentation: when given, per-iteration relative
     errors are recorded in the history (it never influences the iterates).
     """
-    observed, truth, scale = descent.check_inputs(observed, mask, x_true)
+    observed, truth, scale = descent.check_inputs(observed, mask, config.r, x_true)
     n_orig = observed.shape[0]
     observed, mask = _pad_odd(observed, mask)
     n = observed.shape[0]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankel_scs import bench, cli, shgd, signal_model
+from hankel_scs import bench, cli, pgd, shgd, signal_model
 
 TINY_PHASE = dict(
     n=31, r_values=(1, 2), p_values=(0.5, 0.9), trials=2,
@@ -428,11 +428,11 @@ def test_cli_usage_errors(tmp_path):
     # missing input file is caught, not raised
     assert cli.main(["recover", "--input", str(tmp_path / "nope.json"),
                      "--rank", "2"]) == 1
-    # malformed --step value fails argument parsing
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["recover", "--input", "x", "--rank", "2",
-                  "--step", "fixed:abc"])
-    assert exc.value.code == 1
+    # --config is the one way to set a solver field: the old flags are unknown
+    for flag, value in (("--step", "fixed:0.5"), ("--tol", "1e-7"), ("--max-iters", "5")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["recover", "--input", "x", "--rank", "2", flag, value])
+        assert exc.value.code == 1
     # unknown solver name fails choice validation
     with pytest.raises(SystemExit) as exc:
         cli.main(["recover", "--input", "x", "--rank", "2",
@@ -475,7 +475,7 @@ def test_cli_solver_failure_exit_code(tmp_path):
                      "--seed", "2", "--out", str(sig)]) == 0
     code = cli.main([
         "recover", "--input", str(sig), "--rank", "2",
-        "--step", "fixed:500", "--config", '{"mu": Infinity}',
+        "--config", '{"step_policy": "fixed", "eta_prime": 500, "mu": Infinity}',
         "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
@@ -535,8 +535,24 @@ def test_cli_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
         # The subcommand names the kind; a spec of another kind is refused.
         ("phase", dict(kind="noise", n=31, r=2, m_values=[20], sigma_values=[0.01],
                        trials=1)),
+        # --seed sets the master seed; a config may not.
+        ("phase", dict(seed=3, n=31, r_values=[2], p_values=[0.6], trials=1)),
     ):
-        assert cli.main([kind, "--config", json.dumps(config), "--out", str(out)]) == 1
+        assert cli.main([kind, "--seed", "1", "--config", json.dumps(config),
+                         "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_cli_recover_rejects_an_impossible_rank_before_solving(tmp_path, monkeypatch):
+    sig = tmp_path / "sig.ssig.json"
+    out = tmp_path / "r.json"
+    assert cli.main(["gen", "--n", "63", "--rank", "3", "--m", "40", "--seed", "5",
+                     "--min-sep", "0.03", "--out", str(sig)]) == 0
+    monkeypatch.setattr(shgd, "recover", _raise_type_error)
+    monkeypatch.setattr(pgd, "pgd_recover", _raise_type_error)
+    for solver in ("shgd", "pgd"):
+        assert cli.main(["recover", "--input", str(sig), "--rank", "40",
+                         "--solver", solver, "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -576,6 +592,18 @@ def _recover_with_config(tmp_path, config: str) -> int:
                      "--out", str(tmp_path / "r.json")])
 
 
+def test_solver_config_builds_every_user_set_config():
+    config = bench.solver_config(4, 7, {"max_iters": 5},
+                                 {"max_iters": 200, "step_policy": "fixed"})
+    assert (config.r, config.seed, config.max_iters, config.step_policy) == (4, 7, 5, "fixed")
+    assert bench.solver_config(4, None, {}) == shgd.SolverConfig(r=4)
+    for overrides, match in (({"r": 5}, r"\['r'\]"), ({"seed": 1, "K": 2}, r"\['seed'\]"),
+                             ({"bogus": 1}, "bogus"), ({"mu": "x"}, "not supported"),
+                             ({"max_iters": 2.5}, "max_iters must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            bench.solver_config(4, 7, overrides)
+
+
 # Former SolverConfig fields: the step numerator is eta_prime under both
 # policies, the Armijo and radius constants are class constants, mu = inf
 # turns the clipping off and K = 0 the splitting.
@@ -597,6 +625,8 @@ def test_removed_solver_settings_are_rejected(tmp_path, name):
 @pytest.mark.parametrize("config", [
     '{"max_iters": 3.5}', '{"K": true}', '{"rel_change_tol": NaN}',
     '{"mu": NaN}', '{"eta_prime": Infinity}',
+    # --rank and --seed own these fields; the config does not override them.
+    '{"r": 20}', '{"seed": 3}',
 ])
 def test_cli_recover_rejects_bad_solver_values(tmp_path, config):
     assert _recover_with_config(tmp_path, config) == 1
@@ -622,6 +652,22 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path):
             cli.main(argv)
         assert exc.value.code == 1
     assert not (tmp_path / "s.json").exists()
+
+
+def test_package_exports_the_modules_and_the_names_of_a_solve():
+    import hankel_scs
+
+    modules = ["bench", "descent", "freq_est", "hankel_ops", "lowrank", "metrics", "pgd",
+               "shgd", "signal_model"]
+    names = ["ConvergenceError", "RankDeficiencyError", "RecoveryResult", "SolverConfig",
+             "pgd_recover", "recover"]
+    assert sorted(hankel_scs.__all__) == sorted(modules + names)
+    for name in modules:
+        assert getattr(hankel_scs, name).__name__ == f"hankel_scs.{name}"
+    for name, module in (("ConvergenceError", "lowrank"), ("RankDeficiencyError", "lowrank"),
+                         ("RecoveryResult", "descent"), ("SolverConfig", "descent"),
+                         ("pgd_recover", "pgd"), ("recover", "shgd")):
+        assert getattr(hankel_scs, name) is getattr(getattr(hankel_scs, module), name)
 
 
 def test_cli_selftest_exit_codes(tmp_path, monkeypatch):

@@ -22,6 +22,32 @@ def test_solvers_reject_nonfinite_samples(solve, bad):
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
+def test_solvers_reject_a_nonfinite_truth(solve):
+    _, x, mask, observed = make_instance(63, 3, 40, 0)
+    x = x.copy()
+    x[5] = np.nan
+    with pytest.raises(ValueError, match="x_true must be finite"):
+        solve(observed, mask, shgd.SolverConfig(r=3, seed=0), x_true=x)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("n", [62, 63])
+def test_solvers_reject_a_rank_the_signal_length_cannot_hold(solve, n):
+    # The rule holds on the caller's length: SHGD pads n=62 to 63, whose lift
+    # has 32 rows, but a length-62 signal still holds at most 31 modes.
+    _, x, mask, observed = make_instance(n, 3, 40, 0)
+    with pytest.raises(ValueError, match=r"n >= 2r-1"):
+        solve(observed, mask, shgd.SolverConfig(r=(n + 1) // 2 + 1, seed=0))
+
+
+def test_check_rank_accepts_the_largest_rank_that_fits():
+    descent.check_rank(61, 31)
+    descent.check_rank(1, 1)
+    with pytest.raises(ValueError, match=r"rank 31 needs signal length n >= 2r-1 = 61, got n=60"):
+        descent.check_rank(60, 31)
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
 @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e-30, 1e30, 1e100, 1e150])
 def test_solvers_are_scale_equivariant(solve, scale):
     # recover(s * y) = s * recover(y) to rounding, in the same number of
