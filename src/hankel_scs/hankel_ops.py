@@ -175,19 +175,28 @@ def p_omega(x: np.ndarray, mask) -> np.ndarray:
     return np.asarray(x) * mask_counts(mask)
 
 
-def _row_spectra(X: np.ndarray, nfft: int, conj: bool = False) -> np.ndarray:
+def _row_spectra(X: np.ndarray, nfft: int, conj: bool = False,
+                 below: np.ndarray | None = None) -> np.ndarray:
     """FFTs of X's columns (of ``conj(X)``'s with ``conj``), zero-padded to
     ``nfft``, as the rows of a (cols x nfft) C-ordered array transformed in
-    place.  Only the padding is zeroed: the data part is overwritten anyway,
+    place.  ``below``'s columns, never conjugated, follow as further rows of
+    the same transform; a row has the same bits as in a transform of its
+    own.  Only the padding is zeroed: the data part is overwritten anyway,
     and a zero-allocated block of this size tends to come back as fresh
     pages that fault on first touch."""
-    n = X.shape[0]
-    buf = np.empty((X.shape[1], nfft), dtype=np.result_type(X.dtype, np.complex64))
-    if conj:
-        np.conjugate(X.T, out=buf[:, :n])
+    n, cols = X.shape
+    if below is None:
+        buf = np.empty((cols, nfft), dtype=np.result_type(X.dtype, np.complex64))
     else:
-        buf[:, :n] = X.T
-    buf[:, n:] = 0
+        dtype = np.result_type(X.dtype, below.dtype, np.complex64)
+        buf = np.empty((cols + below.shape[1], nfft), dtype=dtype)
+        buf[cols:, :below.shape[0]] = below.T
+        buf[cols:, below.shape[0]:] = 0
+    if conj:
+        np.conjugate(X.T, out=buf[:cols, :n])
+    else:
+        buf[:cols, :n] = X.T
+    buf[:cols, n:] = 0
     return scipy.fft.fft(buf, axis=-1, overwrite_x=True)
 
 
@@ -252,24 +261,27 @@ def lift_operator(u: np.ndarray, n_rows: int):
         return hankel_corr(u_for(V), V, n_rows)
 
     def applyH(U):
-        return np.conj(hankel_corr(u_for(U), np.conj(U), n_cols))
+        # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
+        h = u_for(U)
+        spectrum = _row_spectra(U, _fft_len(h.shape[0]))
+        return np.conj(hankel_corr(h, U, n_cols, cbar_spectrum=spectrum))
 
     return apply, applyH, (n_rows, n_cols)
 
 
 def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
-    """(G*(A B^T), FA, FB), FA and FB the padded column FFTs as (cols x nfft)
-    rows (FA again when ``B is A``).  It calls no public kernel, so wrappers
-    see one call."""
+    """(G*(A B^T), F), F the padded column FFTs as (cols x nfft) rows: A's
+    over B's from one transform, or A's alone when ``B is A``.  It calls no
+    public kernel, so wrappers see one call."""
     n = A.shape[0] + B.shape[0] - 1
     nfft = _fft_len(n)
-    FA = _row_spectra(A, nfft)
-    FB = FA if B is A else _row_spectra(B, nfft)
-    conv = scipy.fft.ifft((FA * FB).sum(axis=0))[:n]
+    r = A.shape[1]
+    F = _row_spectra(A, nfft, below=None if B is A else B)
+    conv = scipy.fft.ifft((F[:r] * F[-r:]).sum(axis=0))[:n]
     if counter is not None:
-        counter.add(A.shape[1])
+        counter.add(r)
     _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
-    return conv * inv_sqrt_w, FA, FB
+    return conv * inv_sqrt_w, F
 
 
 def gstar_outer(
@@ -282,12 +294,12 @@ def gstar_outer(
 
     out[a] = (1/sqrt(w_a)) * sum_l (a_l * b_l)[a] with * linear convolution;
     one FFT pass per column pair.  With ``return_spectra`` the padded column
-    FFTs (FA, FB) come back too, as (cols x nfft) rows: FB doubles as the
-    conj-spectrum for correlating against conj(B), and FA against
-    conj(conj(A)).
+    FFTs come back too, as one (2 cols x nfft) block of rows, A's over B's
+    (A's alone when ``B is A``): the conj-spectrum of the columns of
+    [conj(A), conj(B)], so one :func:`hankel_corr` correlates against both.
     """
-    out, FA, FB = _gstar_conv(np.asarray(A), np.asarray(B), counter)
-    return (out, FA, FB) if return_spectra else out
+    out, F = _gstar_conv(np.asarray(A), np.asarray(B), counter)
+    return (out, F) if return_spectra else out
 
 
 def gstar_gram(
@@ -302,7 +314,7 @@ def gstar_gram(
     :func:`g_apply_times_conj`.
     """
     Z = np.asarray(Z)
-    out, FZ, _ = _gstar_conv(Z, Z, counter)
+    out, FZ = _gstar_conv(Z, Z, counter)
     return (out, FZ) if return_spectrum else out
 
 

@@ -16,10 +16,11 @@ w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 
 costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
-two n_i r^2 products.  Even n needs no zero-padding: the rectangular lift
-absorbs it (n_1 = n/2, n_2 = n/2 + 1).  The iteration loop, step policies,
-projection radius and result type are the symmetric solver's, from
-:mod:`hankel_scs.descent`.
+two n_i r^2 products.  Both factors are transformed in one call, and both
+correlations share one transform of G(w)'s data in another.  Even n needs
+no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
+n_2 = n/2 + 1).  The iteration loop, step policies, projection radius and
+result type are the symmetric solver's, from :mod:`hankel_scs.descent`.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ class FactorPair:
 
 def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     Z_U, Z_V = Zs
-    g, FU, FVbar = hankel_ops.gstar_outer(
-        Z_U, np.conj(Z_V), counter=counter, return_spectra=True
-    )
+    g, F = hankel_ops.gstar_outer(Z_U, np.conj(Z_V), counter=counter, return_spectra=True)
     GU = Z_U.conj().T @ Z_U
     GV = Z_V.conj().T @ Z_V
     if counter is not None:
@@ -70,22 +69,27 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     m_norm2 = float(np.real(np.vdot(GV, GU)))
     balance = LAMBDA_BALANCE * float(np.real(np.vdot(B, B)))
     return descent.make_state(
-        Zs, g, m_norm2, y_obs, counts, p, aux=(FU, FVbar, GU, GV, B), extra_loss=balance
+        Zs, g, m_norm2, y_obs, counts, p, aux=(F, GU, GV, B), extra_loss=balance
     )
 
 
 def _gradients_pair(state: descent.State, p, counter=None):
-    FU, FVbar, GU, GV, B = state.aux
+    F, GU, GV, B = state.aux
     Z_U, Z_V = state.Zs
-    n_1 = Z_U.shape[0]
+    n_1, r = Z_U.shape
     n_2 = Z_V.shape[0]
     w = state.masked / p - state.g
     h = hankel_ops.apply_D_inv(w, n_rows=n_1)
-    gw_V = hankel_ops.hankel_corr(h, Z_V, n_1, counter=counter, cbar_spectrum=FVbar)
-    # With the spectrum passed, hankel_corr reads only Z_U's column count.
-    gw_U = np.conj(hankel_ops.hankel_corr(h, Z_U, n_2, counter=counter, cbar_spectrum=FU))
+    # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
+    # one transform of h, and a 2r-row batch whose rows have the bits of two
+    # separate calls.  With the spectrum passed, hankel_corr reads only the
+    # column count of the block it is given.
+    cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
+    gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
+    gw_U = np.conj(gw[:, :r])
+    gw_V = gw[:n_1, r:]
     if counter is not None:
-        counter.add_flops((n_1 + n_2) * Z_U.shape[1] ** 2)
+        counter.add_flops((n_1 + n_2) * r ** 2)
     grad_U = 0.5 * gw_V + descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
     grad_V = 0.5 * gw_U + descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
     return grad_U, grad_V

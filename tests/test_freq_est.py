@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hankel_scs import freq_est, lowrank, signal_model
+from hankel_scs import freq_est, hankel_ops, lowrank, signal_model
 
 
 def sorted_model(model):
@@ -98,3 +98,98 @@ def test_amplitudes_match_the_complex_power_vandermonde():
     vand = poles[None, :] ** np.arange(x.shape[0])[:, None]
     amps = np.linalg.lstsq(vand, x, rcond=None)[0]
     assert np.max(np.abs(est.amps - amps)) <= 1e-12 * np.max(np.abs(amps))
+
+
+def test_dc_mode_stays_in_the_unit_interval():
+    # np.mod rounds the angle of a DC pole, about -1e-17, up to exactly 1.0.
+    # A slightly larger negative angle is a legitimate frequency just below
+    # 1, so the DC mode is matched on the circle.
+    true = np.array([0.0, 0.3, 0.55])
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        model = signal_model.SpectralModel(
+            n=63, freqs=true, dampings=np.zeros(3),
+            amps=rng.standard_normal(3) + 1j * rng.standard_normal(3),
+        )
+        est = freq_est.esprit(signal_model.synthesize(model), 3)
+        assert np.all((est.freqs >= 0) & (est.freqs < 1))
+        assert np.all(np.diff(est.freqs) >= 0)
+        gap = np.abs(est.freqs[:, None] - true[None, :])
+        assert np.minimum(gap, 1 - gap).min(axis=0).max() <= 1e-8
+
+
+def test_rejects_non_finite_samples():
+    x = signal_model.synthesize(signal_model.random_model(
+        63, 2, rng=np.random.default_rng(1), min_sep=0.05))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        y = x.copy()
+        y[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            freq_est.esprit(y, 2)
+
+
+def test_impulse_in_the_last_sample_has_a_defined_estimate():
+    # The lift of an impulse in the last sample is e_last e_last^T, so U's
+    # last row has norm 1 and U_down carries no information.  ESPRIT returns
+    # a vanishing pole and amplitude, with no warning (the suite runs with
+    # RuntimeWarning as an error in CI).
+    for n in (63, 64):
+        x = np.zeros(n, dtype=complex)
+        x[-1] = 2.0
+        est = freq_est.esprit(x, 1)
+        assert 0 <= est.freqs[0] < 1
+        assert est.dampings[0] >= 20  # |pole| <= 2e-9
+        assert abs(est.amps[0]) <= 1e-12
+
+
+def _models():
+    rng = np.random.default_rng(5)
+    return [signal_model.random_model(127, 4, rng=rng, min_sep=0.03, damped=damped)
+            for damped in (False, True)]
+
+
+@pytest.mark.parametrize("model", _models(), ids=["undamped", "damped"])
+def test_rank_one_shift_solve_matches_the_pseudoinverse(model):
+    x = signal_model.synthesize(model)
+    n_1, _ = hankel_ops.rect_dims(x.shape[0])
+    U, _, _ = lowrank.lift_svd(x, n_1, 4, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12)
+    want = np.linalg.pinv(U[:-1]) @ U[1:]
+    assert np.abs(freq_est._shift_operator(U) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("model", _models(), ids=["undamped", "damped"])
+@pytest.mark.parametrize("n", [127, 1001])
+def test_power_table_vandermonde_matches_the_exponential_form(model, n):
+    poles = np.exp(-np.asarray(model.dampings) + 2j * np.pi * np.asarray(model.freqs))
+    want = np.exp(np.arange(n)[:, None] * np.log(poles)[None, :])
+    got = freq_est._vandermonde(poles, n)
+    assert got.shape == (n, 4)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_vandermonde_column_of_a_zero_pole_is_the_first_unit_vector():
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got = freq_est._vandermonde(np.array([0.0, 0.5j]), 10)
+    assert got[0, 0] == 1 and np.abs(got[1:, 0]).max() <= 1e-300
+    want = 0.5j ** np.arange(10)
+    assert np.all(np.abs(got[:, 1] - want) <= 1e-15 * np.abs(want))
+
+
+def test_esprit_applies_the_lift_twice_and_its_adjoint_twice(monkeypatch):
+    # The lift of an exactly rank-r signal is captured by one power round:
+    # the range finder's apply, one round's applyH and apply, then the
+    # convergence test's applyH.  The adjoint hands hankel_corr its block's
+    # spectrum; the forward action does not.
+    model = signal_model.random_model(127, 4, rng=np.random.default_rng(2), min_sep=0.03)
+    x = signal_model.synthesize(model)
+    calls = []
+    hankel_corr = hankel_ops.hankel_corr
+
+    def recording(*args, **kwargs):
+        calls.append("applyH" if kwargs.get("cbar_spectrum") is not None else "apply")
+        return hankel_corr(*args, **kwargs)
+
+    monkeypatch.setattr(hankel_ops, "hankel_corr", recording)
+    est = freq_est.esprit(x, 4)
+    assert sorted(calls) == ["apply", "apply", "applyH", "applyH"]
+    assert np.max(np.abs(est.freqs - np.sort(model.freqs))) <= 1e-10

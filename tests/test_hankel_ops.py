@@ -290,11 +290,38 @@ def test_fft_spectrum_reuse_paths_agree(rng):
 
     A = rand_complex(rng, 20, 3)
     B = rand_complex(rng, 14, 3)
-    out, FA, FB = hankel_ops.gstar_outer(A, B, return_spectra=True)
+    out, F = hankel_ops.gstar_outer(A, B, return_spectra=True)
+    assert F.shape == (6, 64)
     h = rand_complex(rng, 33)
     direct = hankel_ops.hankel_corr(h, np.conj(B), 20)
-    reused = hankel_ops.hankel_corr(h, np.conj(B), 20, cbar_spectrum=FB)
+    reused = hankel_ops.hankel_corr(h, np.conj(B), 20, cbar_spectrum=F[3:])
     assert rel(reused, direct) <= 1e-14
+    # The whole block is the conj-spectrum of [conj(A), conj(B)]'s columns,
+    # B's zero-padded to A's length: one correlation against both.
+    C = np.hstack([np.conj(A), np.vstack([np.conj(B), np.zeros((6, 3))])])
+    direct = hankel_ops.hankel_corr(h, C, 14)
+    reused = hankel_ops.hankel_corr(h, C, 14, cbar_spectrum=F)
+    assert rel(reused, direct) <= 1e-14
+
+
+@pytest.mark.parametrize("rows, r", [(64, 8), (8192, 30), (1024, 150)])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_stacked_spectra_have_the_bits_of_separate_transforms(rng, rows, r, dtype):
+    # PGD transforms both factors in one call and correlates against both in
+    # another; its solves keep their bits only if a row of a stacked batch
+    # equals the same row transformed alone.
+    A = rand_complex(rng, rows, r).astype(dtype)
+    B = rand_complex(rng, rows - 1, r).astype(dtype)
+    out, F = hankel_ops.gstar_outer(A, B, return_spectra=True)
+    _, FA = hankel_ops.gstar_gram(A, return_spectrum=True)
+    assert F.shape == (2 * r, FA.shape[1])
+    assert np.array_equal(F[:r], FA)
+    h = rand_complex(rng, 2 * rows - 2).astype(dtype)
+    both = hankel_ops.hankel_corr(h, np.zeros((rows, 2 * r), dtype), rows, cbar_spectrum=F)
+    for half in (slice(None, r), slice(r, None)):
+        alone = hankel_ops.hankel_corr(h, np.zeros((rows, r), dtype), rows,
+                                       cbar_spectrum=np.ascontiguousarray(F[half]))
+        assert np.array_equal(both[:, half], alone)
 
 
 # Layouts: the kernels transform columns as contiguous rows, whatever the
@@ -340,7 +367,7 @@ def _layout_cases(rng):
         "hankel_corr_spectrum": (
             lambda L: hankel_ops.hankel_corr(
                 h, L(B), n_1,
-                cbar_spectrum=hankel_ops.gstar_outer(L(A), np.conj(L(B)), return_spectra=True)[2]),
+                cbar_spectrum=hankel_ops.gstar_outer(L(A), np.conj(L(B)), return_spectra=True)[1][4:]),
             H @ B),
     }
 

@@ -107,9 +107,10 @@ def test_trunc_svd_short_budgets_return_orthonormal_factors(rng, max_rounds, dty
 
 
 def test_trunc_svd_factors_only_the_rounds_it_tests(rng, monkeypatch):
-    # The convergence test first runs in round POWER_ITERS + 1, so no SVD
-    # is taken before round POWER_ITERS; a zero operator still exits at
-    # round 2, from the SVD of its zero R.
+    # Each round's Ritz pairs are tested in the next round, so every round
+    # takes one SVD and the test first runs in round 2; a zero operator
+    # exits there, from the SVD of its zero R, and so does an exactly
+    # low-rank one.
     svds = []
     svd = np.linalg.svd
 
@@ -123,13 +124,20 @@ def test_trunc_svd_factors_only_the_rounds_it_tests(rng, monkeypatch):
     rounds = 6
     lowrank.trunc_svd(apply, applyH, (40, 40), 3, seed=0, tol=1e-300,
                       max_rounds=rounds, strict=False)
-    assert len(svds) == rounds - lowrank.POWER_ITERS + 1
+    assert len(svds) == rounds
     svds.clear()
     applied = []
     zero = np.zeros((40, 40), dtype=complex)
     lowrank.trunc_svd(lambda V: applied.append(1) or zero @ V, lambda U: zero @ U,
                       (40, 40), 3, seed=0, max_rounds=rounds)
     assert len(svds) == 1 and len(applied) == 2
+    svds.clear()
+    applied = []
+    low = rand_complex(rng, 40, 3) @ rand_complex(rng, 3, 40)
+    U, sigma, V = lowrank.trunc_svd(lambda V: applied.append(1) or low @ V,
+                                    lambda U: low.conj().T @ U, (40, 40), 3, seed=0)
+    assert len(svds) == 1 and len(applied) == 2
+    assert rel((U * sigma) @ V.conj().T, low) <= 1e-12
 
 
 def test_trunc_svd_strict_nonconvergence_raises(rng):
