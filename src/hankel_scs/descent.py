@@ -6,7 +6,9 @@ factorization of the lifted signal -- one factor with M = Z Z^T in
 by the same projected scheme Z <- P_C(Z - eta * grad f(Z)).  This module
 holds what they share: the configuration and result types, the input checks
 at the solver boundary, mask splitting, the loss terms, the step rule, the
-radius of P_C (:func:`projection_radius`) and the iteration loop
+radius of P_C (:func:`projection_radius`), the per-iteration products of
+both factorizations -- the r x r Hermitian grams (:func:`gram`) and the
+n x r^2 right products (:func:`right_mul`) -- and the iteration loop
 (:func:`descend`).  Each solver passes its factorization in as callbacks:
 evaluation, gradient and projection.
 
@@ -55,12 +57,36 @@ from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import hankel_ops
 from .signal_model import SamplingMask
 
 SINGLE_UNTIL = 1e-5  # rel_change that ends a fixed-step solve's complex64 phase
 STALL_ITERS = 25  # complex64 iterations without a new low of rel_change that end it too
+
+# gram() takes Z^H Z from BLAS herk once rows * r^2 reaches HERK_FROM.  herk
+# computes one triangle, half the flops of the general product, but its call
+# and the mirror of the other triangle cost about 10 us, so small grams stay
+# on the general product.  Time of one gram, herk (mirror included) / general
+# product, on a Fortran-ordered factor (medians of repeated timings, BLAS on 1
+# thread, 2-core host):
+#
+#   rows x r     rows r^2   complex128  complex64
+#   64 x 12          9216      2.75        2.73     desk (n=127, r up to 12)
+#   1024 x 8        65536      1.32        1.35
+#   8192 x 4       131072      1.12        1.08
+#   1024 x 16      262144      0.93        1.02
+#   128 x 64       524288      0.96        1.09
+#   4096 x 12      589824      0.92        0.99
+#   1024 x 30      921600      0.81        0.81     scaling ladder, lowest rung
+#   1024 x 32     1048576      0.77        0.80     the herk tests' solves
+#   8192 x 30     7372800      0.63        0.62     long-signal
+#   1024 x 150   23040000      0.63        0.60     paper-point
+#
+# herk wins in complex128 from about 2.5e5 and in complex64 from about 6e5,
+# depending on the shape; from 2^20 on it wins by 20% or more in both.
+HERK_FROM = 1 << 20
 
 
 def as_int(name: str, value, least: int | None = None) -> int:
@@ -185,6 +211,24 @@ def right_mul(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
     factor's layout.  Both gradients take their n x r^2 products here.
     """
     return (M.T @ Z.T).T
+
+
+def gram(Z: np.ndarray) -> np.ndarray:
+    """The r x r Hermitian gram Z^H Z of an n x r factor.
+
+    From rows * r^2 = :data:`HERK_FROM` on, BLAS herk forms the upper
+    triangle and the lower one is its conjugate mirror, so the result is
+    Hermitian bit for bit with a real diagonal.  Below it, the general
+    product ``Z.conj().T @ Z``, whose triangles may differ in the last bit.
+    Both agree with the exact gram to rounding; any layout is accepted.
+    """
+    rows, r = Z.shape
+    if rows * r * r < HERK_FROM:
+        return Z.conj().T @ Z
+    herk = blas.get_blas_funcs("herk", (Z,))
+    A = herk(1.0, Z, trans=2)  # upper triangle of Z^H Z; the lower one is zero
+    A += np.triu(A, 1).conj().T
+    return A
 
 
 def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
@@ -363,8 +407,14 @@ def descend(
         grads = gradient(state, p, counter)
 
         def _candidate(eta):
-            Zs = tuple(Z - eta * gz for Z, gz in zip(state.Zs, grads))
-            return evaluate(project(Zs), y, counts, p, counter)
+            # Z - eta * gz with one temporary: negating eta * gz is exact,
+            # so the sum has the same bits.
+            Zs = []
+            for Z, gz in zip(state.Zs, grads):
+                Z_new = gz * -eta
+                Z_new += Z
+                Zs.append(Z_new)
+            return evaluate(project(tuple(Zs)), y, counts, p, counter)
 
         eta = eta0
         new_state = _candidate(eta)

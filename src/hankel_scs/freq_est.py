@@ -47,8 +47,9 @@ def esprit(x: np.ndarray, r: int) -> ModeEstimate:
 
     poles = np.linalg.eigvals(_shift_operator(U))
     freqs = np.mod(np.angle(poles) / (2 * np.pi), 1.0)
-    # mod rounds an angle of about -1e-17 (a DC mode) up to exactly 1.0.
-    freqs[freqs == 1.0] = 0.0
+    # mod rounds the small negative angle of a DC mode, down to about
+    # -1e-15, up to 1.0 or to one ulp below it; both fold to 0.
+    freqs[freqs >= np.nextafter(1.0, 0.0)] = 0.0
     with np.errstate(divide="ignore"):
         dampings = -np.log(np.abs(poles))
 

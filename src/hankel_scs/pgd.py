@@ -17,8 +17,11 @@ w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
 two n_i r^2 products.  Both factors are transformed in one call, and both
-correlations share one transform of G(w)'s data in another.  Even n needs
-no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
+correlations share one transform of G(w)'s data in another; the 1/2 is
+applied to that data, not to the n_i x r results.  The grams are Hermitian,
+and from n_i r^2 = :data:`descent.HERK_FROM` on each takes BLAS herk's one
+triangle, half the flops of a general product (:func:`descent.gram`).  Even
+n needs no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
 n_2 = n/2 + 1).  The iteration loop, step policies, projection radius and
 result type are the symmetric solver's, from :mod:`hankel_scs.descent`.
 """
@@ -60,8 +63,8 @@ class FactorPair:
 def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     Z_U, Z_V = Zs
     g, F = hankel_ops.gstar_outer(Z_U, np.conj(Z_V), counter=counter, return_spectra=True)
-    GU = Z_U.conj().T @ Z_U
-    GV = Z_V.conj().T @ Z_V
+    GU = descent.gram(Z_U)
+    GV = descent.gram(Z_V)
     if counter is not None:
         counter.add_flops((Z_U.shape[0] + Z_V.shape[0]) * Z_U.shape[1] ** 2)
     B = GU - GV
@@ -80,18 +83,19 @@ def _gradients_pair(state: descent.State, p, counter=None):
     n_2 = Z_V.shape[0]
     w = state.masked / p - state.g
     h = hankel_ops.apply_D_inv(w, n_rows=n_1)
+    h *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
     # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
     # one transform of h, and a 2r-row batch whose rows have the bits of two
     # separate calls.  With the spectrum passed, hankel_corr reads only the
     # column count of the block it is given.
     cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
     gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
-    gw_U = np.conj(gw[:, :r])
-    gw_V = gw[:n_1, r:]
     if counter is not None:
         counter.add_flops((n_1 + n_2) * r ** 2)
-    grad_U = 0.5 * gw_V + descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
-    grad_V = 0.5 * gw_U + descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
+    grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
+    grad_U += gw[:n_1, r:]
+    grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
+    grad_V += np.conj(gw[:, :r])
     return grad_U, grad_V
 
 

@@ -11,11 +11,14 @@ rearranged matrix-free form
     grad f(Z) = G(w) conj(Z) + Z (Z^T conj(Z)),
     w = p^{-1} P_Omega(G*(Z Z^T) - y) - G*(Z Z^T),
 
-costing two r-column FFT passes plus one n_s r^2 product per call.  The
-Hankel penalty is evaluated without forming any n_s x n_s matrix through the
-orthogonal-projector identity ||(I-GG*)(ZZ^T)||_F^2 = ||Z Z^T||_F^2 -
-||G*(ZZ^T)||_2^2, with ||Z Z^T||_F^2 = trace(A conj(A)) = sum_ij A_ij^2 for
-the Hermitian gram A = Z^H Z (real because A is Hermitian).
+costing two r-column FFT passes, the gram A = Z^H Z and one n_s r^2 product
+per call.  The gram is Hermitian, so from n_s r^2 = :data:`descent.HERK_FROM`
+on it takes BLAS herk's one triangle, half the flops of a general product
+(:func:`descent.gram`).  The Hankel penalty is evaluated without forming any
+n_s x n_s matrix through the orthogonal-projector identity
+||(I-GG*)(ZZ^T)||_F^2 = ||Z Z^T||_F^2 - ||G*(ZZ^T)||_2^2, with
+||Z Z^T||_F^2 = trace(A conj(A)) = sum_ij A_ij^2 for the Hermitian gram
+A = Z^H Z (real because A is Hermitian).
 
 Iterations follow the projected scheme Z <- P_C(Z - eta * grad f(Z)) from a
 spectral (truncated Takagi) initialization, where P_C clips factor rows to
@@ -55,7 +58,7 @@ def _pad_odd(observed: np.ndarray, mask: SamplingMask):
 def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
     """Loss pieces at Z sharing one r-pass convolution."""
     g, FZ = hankel_ops.gstar_gram(Z, counter=counter, return_spectrum=True)
-    A = Z.conj().T @ Z
+    A = descent.gram(Z)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
     m_norm2 = float(np.real((A * A).sum()))  # ||Z Z^T||_F^2 via the gram
@@ -69,7 +72,9 @@ def _gradient(state: descent.State, p, counter=None):
     gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
-    return (gw + descent.right_mul(Z, np.conj(A)),)
+    grad_Z = descent.right_mul(Z, np.conj(A))
+    grad_Z += gw
+    return (grad_Z,)
 
 
 def loss(Z: np.ndarray, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:

@@ -158,6 +158,25 @@ def test_project_C_clips_rows_around_the_radius_as_by_norms(rng, dtype):
     assert descent.project_C(Z, math.inf) is Z
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("rows, r", [(64, 12), (1023, 32), (1024, 32), (8192, 12)])
+def test_gram_on_both_sides_of_the_herk_threshold(rng, dtype, rows, r):
+    Z = np.asfortranarray(
+        (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))).astype(dtype))
+    A = descent.gram(Z)
+    general = Z.conj().T @ Z
+    assert A.dtype == dtype and A.shape == (r, r)
+    if rows * r * r >= descent.HERK_FROM:
+        assert np.array_equal(A, A.conj().T)  # Hermitian bit for bit
+        assert not A.diagonal().imag.any()
+    else:
+        assert np.array_equal(A, general)  # today's product, bits kept
+    # Entrywise dot-product rounding bound, gamma_rows |Z|^T |Z|.
+    bound = 4 * rows * np.finfo(dtype).eps * (np.abs(Z).T @ np.abs(Z))
+    assert np.all(np.abs(A - general) <= bound)
+    assert np.all(np.abs(descent.gram(np.ascontiguousarray(Z)) - A) <= bound)
+
+
 @pytest.mark.parametrize("solve", SOLVERS)
 @pytest.mark.parametrize("step", [dict(step_policy="backtracking"),
                                   dict(step_policy="fixed", rel_change_tol=1e-9)])
@@ -170,6 +189,35 @@ def test_solvers_keep_their_factors_column_major(solve, step):
         result.Z_final.Z_U, result.Z_final.Z_V)
     for Z in factors:
         assert Z.flags.f_contiguous and not Z.flags.c_contiguous
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+@pytest.mark.parametrize("step", [dict(rel_change_tol=1e-9), dict(rel_change_tol=1e-5)])
+def test_solves_above_the_herk_threshold_keep_layout_and_scale(monkeypatch, solve, step):
+    # The desk-sized solves above run every gram below HERK_FROM.  At n=2047
+    # and r=32 each factor has 1024 rows, so every gram, in complex64
+    # (rel_change_tol 1e-9) or complex128 (1e-5), goes through herk.
+    shapes = []
+    gram = descent.gram
+
+    def recording(Z):
+        shapes.append(Z.shape)
+        return gram(Z)
+
+    monkeypatch.setattr(descent, "gram", recording)
+    _, x, mask, observed = make_instance(2047, 32, 800, 0)
+    config = shgd.SolverConfig(r=32, step_policy="fixed", max_iters=3, seed=0, **step)
+    base = solve(observed, mask, config)
+    assert shapes and all(rows * r * r >= descent.HERK_FROM for rows, r in shapes)
+    assert base.iters == 3 and (base.single_iters == 3) == (step["rel_change_tol"] < 1e-5)
+    factors = (base.Z_final,) if solve is shgd.recover else (
+        base.Z_final.Z_U, base.Z_final.Z_V)
+    for Z in factors:
+        assert Z.flags.f_contiguous and not Z.flags.c_contiguous
+    # A power-of-four scale is exact through the whole solve.
+    scaled = solve(4.0 ** 7 * observed, mask, config)
+    assert scaled.x_hat.tobytes() == (4.0 ** 7 * base.x_hat).tobytes()
+    assert [rec.loss for rec in scaled.history] == [4.0 ** 14 * rec.loss for rec in base.history]
 
 
 def _gram_dtypes(monkeypatch):

@@ -118,6 +118,20 @@ def test_dc_mode_stays_in_the_unit_interval():
         assert np.minimum(gap, 1 - gap).min(axis=0).max() <= 1e-8
 
 
+def test_dc_mode_sorts_first():
+    # The DC pole's angle can also round to one ulp below 1 (in draw 36 it
+    # came back as 1 - 1.1e-16 and sorted last); it folds to 0 and sorts first.
+    true = np.array([0.0, 0.3, 0.55])
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        model = signal_model.SpectralModel(
+            n=63, freqs=true, dampings=np.zeros(3),
+            amps=rng.standard_normal(3) + 1j * rng.standard_normal(3),
+        )
+        est = freq_est.esprit(signal_model.synthesize(model), 3)
+        assert np.abs(est.freqs - true).max() <= 1e-8, seed
+
+
 def test_rejects_non_finite_samples():
     x = signal_model.synthesize(signal_model.random_model(
         63, 2, rng=np.random.default_rng(1), min_sep=0.05))
