@@ -158,7 +158,8 @@ def _cmd_recover(args) -> int:
     last = result.history[-1] if result.history else None
     print(
         f"{args.solver}: {result.termination} after {result.iters} iterations"
-        f" ({result.single_iters} in complex64)"
+        f" ({result.single_iters} in complex64"
+        + (f", ended by {result.single_ended_by})" if result.single_ended_by else ")")
         + (f", final loss {last.loss:.3e}, rel_change {last.rel_change:.3e}"
            if last else "")
         + f"; wrote {out}"

@@ -23,29 +23,36 @@ gives the same bits as the same solve on unscaled data, up to that scale.
 Precision schedule.  A solve with ``step_policy == "fixed"`` and
 ``rel_change_tol`` below :data:`SINGLE_UNTIL` runs its first iterations in
 complex64: the early, inaccurate iterates do not need double precision, and
-single-precision FFTs and grams cost about half as much.  The complex64
-phase ends after the first iteration whose ``rel_change`` is at most
-:data:`SINGLE_UNTIL`, or after :data:`STALL_ITERS` iterations in a row
-without a new low of ``rel_change`` (the stall rule: single precision can
-stop making progress above the switch point, and a solve must never stall
-out there).  The stall rule waits for a run of iterations, not one rise,
-because ``rel_change`` is not monotone even in double precision: at the
-paper's timing point it rises one to three times per solve, long before it
-reaches 1e-5, and goes up to 14 iterations without a new low.  The next
-iteration casts the iterate to complex128, evaluates it once more and goes
-on in double precision under the unchanged stopping rule; ``tol_reached`` is
-only ever decided in double precision.  Backtracking solves never leave
-complex128: Armijo compares losses that single precision cannot resolve near
-the switch.  Looser tolerances would leave nothing to finish in double
-precision, so they also run in complex128 throughout.  :func:`opening_dtype`
-is this rule, and both solvers' spectral inits follow it too: a solve that
-opens in complex64 runs its init's subspace rounds in complex64, then one
-complex128 Rayleigh-Ritz step finishes the init (see
-:func:`hankel_scs.lowrank.trunc_svd`), so the loop starts from the same
-kind of double-precision factor either way.
-``RecoveryResult.single_iters`` counts the complex64 iterations.  A
-fixed-step run shorter than its complex64 phase, such as the 12 iterations
-of ``bench.run_scaling``, runs and times complex64 iterations only.
+single-precision FFTs and grams cost about half as much.  Its iterates
+follow the double-precision trajectory until single precision runs out, so
+the phase lasts as long as the solve's own rate of descent says it is useful
+(:func:`single_phase_end`).  The iterations at which the lowest
+``rel_change`` first reaches 1e-3 and 1e-4 (:data:`RATE_LEVELS`, above every
+complex64 floor seen) give the iterations per decade, and the phase ends
+where that rate extrapolates from 1e-4 to max(``rel_change_tol``,
+:data:`SINGLE_FLOOR`), eps32 / 8; the tolerance term keeps a loose one from
+running complex64 iterations it does not need.  The stall rule backs it up
+for a solve whose complex64 floor lies above 1e-4: :data:`STALL_ITERS`
+iterations in a row without a new low end the phase too.  It waits for a run
+of iterations, not one rise, because ``rel_change`` is not monotone even in
+double precision, and it counts only once the lowest ``rel_change`` has
+reached 1e-3, because at the paper's timing point ``rel_change`` can sit at
+1.1e-2 for more than 25 iterations while the solve still progresses.  The
+iteration after the phase casts the iterate to complex128, evaluates it once
+more and goes on in double precision under the unchanged stopping rule;
+``tol_reached`` is only ever decided in double precision.  Backtracking
+solves never leave complex128: Armijo compares losses that single precision
+cannot resolve near the switch.  Looser tolerances would leave nothing to
+finish in double precision, so they also run in complex128 throughout.
+:func:`opening_dtype` is this rule, and both solvers' spectral inits follow
+it too: a solve that opens in complex64 runs its init's subspace rounds in
+complex64, then one complex128 Rayleigh-Ritz step finishes the init (see
+:func:`hankel_scs.lowrank.trunc_svd`), so the loop starts from the same kind
+of double-precision factor either way.
+``RecoveryResult.single_iters`` counts the complex64 iterations and
+``single_ended_by`` names the rule that ended them.  A fixed-step run
+shorter than its complex64 phase, such as the 12 iterations of
+``bench.run_scaling``, runs and times complex64 iterations only.
 """
 
 from __future__ import annotations
@@ -62,8 +69,13 @@ from scipy.linalg import blas
 from . import hankel_ops
 from .signal_model import SamplingMask
 
-SINGLE_UNTIL = 1e-5  # rel_change that ends a fixed-step solve's complex64 phase
-STALL_ITERS = 25  # complex64 iterations without a new low of rel_change that end it too
+SINGLE_UNTIL = 1e-5  # a fixed-step solve opens in complex64 when rel_change_tol is below it
+# The complex64 phase measures its rate of descent between the first iterations
+# whose lowest rel_change reaches each of RATE_LEVELS, then ends where that rate
+# extrapolates to max(rel_change_tol, SINGLE_FLOOR) (see single_phase_end).
+RATE_LEVELS = (1e-3, 1e-4)
+SINGLE_FLOOR = float(np.finfo(np.float32).eps) / 8
+STALL_ITERS = 25  # complex64 iterations without a new low below RATE_LEVELS[0] end it too
 
 # gram() takes Z^H Z from BLAS herk once rows * r^2 reaches HERK_FROM.  herk
 # computes one triangle, half the flops of the general product, but its call
@@ -168,6 +180,7 @@ class RecoveryResult:
     mu: float = 0.0
     counter: hankel_ops.OpCounter = field(default_factory=hankel_ops.OpCounter)
     single_iters: int = 0  # iterations run in complex64
+    single_ended_by: str | None = None  # rate | stall; None if the phase never ended
 
 
 @dataclass
@@ -192,6 +205,39 @@ def opening_dtype(config: SolverConfig) -> type:
     :data:`SINGLE_UNTIL`), complex128 otherwise."""
     mixed = config.step_policy == "fixed" and config.rel_change_tol < SINGLE_UNTIL
     return np.complex64 if mixed else np.complex128
+
+
+def single_phase_end(changes, tol: float) -> str | None:
+    """Why the complex64 phase ends after the last of ``changes``, its
+    iterations' ``rel_change`` values in order, or None if it goes on.
+
+    With k3 and k4 the first iterations whose lowest ``rel_change`` reaches
+    each of :data:`RATE_LEVELS`, d = max(k4 - k3, 1) is the solve's own number
+    of iterations per decade.  "rate": the last iteration k >= k4 is the first
+    whose extrapolated level RATE_LEVELS[1] * 10^(-(k - k4) / d) is at most
+    max(``tol``, :data:`SINGLE_FLOOR`).  "stall": :data:`STALL_ITERS`
+    iterations in a row without a new low, counted only once the lowest
+    ``rel_change`` has reached RATE_LEVELS[0], so a plateau above it never
+    ends the phase.
+    """
+    high, low = RATE_LEVELS
+    lowest = math.inf
+    k3 = k4 = None
+    since_low = 0
+    for k, change in enumerate(changes):
+        if change < lowest:
+            lowest, since_low = change, 0
+        elif lowest <= high:
+            since_low += 1
+        if k3 is None and lowest <= high:
+            k3 = k
+        if k4 is None and lowest <= low:
+            k4 = k
+    if k4 is not None:
+        per_decade = max(k4 - k3, 1)
+        if low * 10.0 ** (-(k - k4) / per_decade) <= max(tol, SINGLE_FLOOR):
+            return "rate"
+    return "stall" if since_low >= STALL_ITERS else None
 
 
 def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
@@ -392,8 +438,8 @@ def descend(
     truth_norm = float(np.linalg.norm(truth)) if truth is not None else None
     history: list[IterRecord] = []
     termination = "max_iters"
-    single_iters = since_low = 0
-    lowest = float("inf")
+    single_changes: list[float] = []
+    single_ended_by = None
 
     for k in range(config.max_iters):
         t0 = time.perf_counter()
@@ -459,14 +505,10 @@ def descend(
             break
         state, x_prev = new_state, x_new
         if dtype == np.complex64:
-            # The tolerance lies below SINGLE_UNTIL, so it is never reached
-            # before this phase ends.
-            single_iters += 1
-            if rel_change < lowest:
-                lowest, since_low = rel_change, 0
-            else:
-                since_low += 1
-            if rel_change <= SINGLE_UNTIL or since_low >= STALL_ITERS:
+            # The tolerance is only ever decided in double precision.
+            single_changes.append(rel_change)
+            single_ended_by = single_phase_end(single_changes, config.rel_change_tol)
+            if single_ended_by is not None:
                 dtype = np.complex128
                 y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
         elif rel_change <= config.rel_change_tol:
@@ -492,7 +534,8 @@ def descend(
         sigma1_M0=sigma1 * scale,
         mu=mu,
         counter=counter,
-        single_iters=single_iters,
+        single_iters=len(single_changes),
+        single_ended_by=single_ended_by,
     )
 
 
@@ -520,6 +563,7 @@ def result_to_dict(result: RecoveryResult) -> dict:
         "x_hat": [[float(v.real), float(v.imag)] for v in result.x_hat],
         "iters": result.iters,
         "single_iters": result.single_iters,
+        "single_ended_by": result.single_ended_by,
         "termination": result.termination,
         "sigma1_M0": _num(result.sigma1_M0),
         "mu": _num(result.mu),

@@ -411,6 +411,19 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
     assert f"({doc['single_iters']} in complex64)" in captured.out
     assert "recover" not in captured.err
 
+    # A fixed step with a tight tolerance opens in complex64; the summary
+    # says why that phase ended.
+    code = cli.main([
+        "recover", "--input", str(sig), "--rank", "3", "--out", str(out), "--config",
+        json.dumps({"step_policy": "fixed", "rel_change_tol": 1e-9}),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["single_iters"] > 0 and doc["termination"] == "tol_reached"
+    assert doc["single_ended_by"] in ("rate", "stall")
+    assert (f"({doc['single_iters']} in complex64, ended by {doc['single_ended_by']})"
+            in capsys.readouterr().out)
+
 
 def test_cli_recover_pgd_solver(tmp_path):
     sig = tmp_path / "sig.ssig.json"

@@ -255,10 +255,13 @@ def test_fixed_step_runs_complex64_then_finishes_in_complex128(monkeypatch, solv
     k = result.single_iters
     assert 0 < k < result.iters
     assert result.termination == "tol_reached"
-    # The phase ends at the switch point, and the tolerance is decided in
-    # double precision only.
+    # The phase ends at the first iteration the rate rule fires on, and the
+    # tolerance is decided in double precision only.
     changes = [rec.rel_change for rec in result.history]
-    assert changes[k - 1] <= descent.SINGLE_UNTIL < min(changes[: k - 1])
+    assert result.single_ended_by == "rate"
+    assert descent.single_phase_end(changes[:k], config.rel_change_tol) == "rate"
+    assert all(descent.single_phase_end(changes[:j], config.rel_change_tol) is None
+               for j in range(1, k))
     assert result.history[-1].rel_err < 1e-8  # beyond single precision's reach
     assert result.x_hat.dtype == np.complex128
     if solve is shgd.recover:
@@ -269,20 +272,83 @@ def test_fixed_step_runs_complex64_then_finishes_in_complex128(monkeypatch, solv
 
 
 def test_stall_rule_ends_the_complex64_phase(monkeypatch):
-    # With the switch point out of single precision's reach, only the stall
-    # rule can end the phase (here rel_change floors near 5e-7 in complex64);
-    # the solve still reaches its tolerance.
-    monkeypatch.setattr(descent, "SINGLE_UNTIL", 1e-12)
+    # With the rate's second level out of single precision's reach, only the
+    # stall rule can end the phase (here rel_change floors near 5e-7 in
+    # complex64); the solve still reaches its tolerance.
+    monkeypatch.setattr(descent, "RATE_LEVELS", (1e-3, 1e-12))
     _, x, mask, observed = make_instance(127, 4, 76, 0)
     config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-13,
                                max_iters=1000, seed=0)
     result = shgd.recover(observed, mask, config, x_true=x)
     k = result.single_iters
     assert 0 < k < result.iters
+    assert result.single_ended_by == "stall"
     assert result.termination == "tol_reached"
-    assert min(rec.rel_change for rec in result.history[:k]) > 1e-12
+    changes = [rec.rel_change for rec in result.history[:k]]
+    assert min(changes) > 1e-12
+    # The last descent.STALL_ITERS complex64 iterations set no new low.
+    assert min(changes[-descent.STALL_ITERS:]) >= min(changes[:-descent.STALL_ITERS]) <= 1e-3
     assert result.history[-1].rel_change <= 1e-13
     assert result.history[-1].rel_err < 1e-10
+
+
+def _ends(changes, tol=0.0):
+    """(iteration at which the complex64 phase ends, why), or (None, None)."""
+    for k in range(1, len(changes) + 1):
+        why = descent.single_phase_end(changes[:k], tol)
+        if why is not None:
+            return k - 1, why
+    return None, None
+
+
+def _decay(iters, per_decade=10, floor=0.0):
+    """rel_change falling one decade per ``per_decade`` iterations onto ``floor``;
+    the half-iteration offset keeps every value off the levels."""
+    return [max(10.0 ** (-(k + 0.5) / per_decade), floor) for k in range(iters)]
+
+
+def test_a_plateau_above_the_first_level_does_not_end_the_phase():
+    # rel_change falls to 1.1e-2, wobbles there in its third digit for 40
+    # iterations without a new low, then falls on.
+    head = [10.0 ** (-k / 10) for k in range(20)] + [1.1e-2]
+    plateau = [1.1e-2 * (1.001 + 0.0005 * math.sin(k)) for k in range(40)]
+    tail = [1e-2 * 10.0 ** (-(k + 0.5) / 10) for k in range(100)]
+    assert min(plateau) > min(head)
+    k, why = _ends(head + plateau + tail)
+    assert why == "rate" and k >= len(head) + len(plateau)
+    # However long the plateau lasts.
+    assert _ends(head + plateau * 10) == (None, None)
+
+
+def test_geometric_decay_onto_a_floor_ends_at_the_extrapolated_iteration():
+    # One decade per 10 iterations: the lowest rel_change reaches 1e-3 at
+    # k3 = 30 and 1e-4 at k4 = 40, and the floor at 1e-6 holds from k = 60.
+    # 1e-4 * 10^(-(k - 40) / 10) <= eps32 / 8 first at k = 40 + 38.27 -> 79,
+    # before the stall rule could fire at 60 + 25 = 85.
+    changes = _decay(200, floor=1e-6)
+    expected = 40 + math.ceil(10 * math.log10(1e-4 / descent.SINGLE_FLOOR))
+    assert expected == 79
+    assert _ends(changes, tol=1e-9) == (79, "rate")
+    assert _ends(changes, tol=0.0) == (79, "rate")
+
+
+def test_a_tolerance_above_the_single_floor_caps_the_target():
+    # 1e-4 * 10^(-(k - 40) / 10) <= 2e-6 first at k = 40 + 16.99 -> 57.
+    changes = _decay(200, floor=1e-6)
+    assert 2e-6 > descent.SINGLE_FLOOR
+    assert _ends(changes, tol=2e-6) == (57, "rate")
+
+
+def test_a_floor_above_the_second_level_ends_the_phase_only_by_the_backstop():
+    # The floor at 3e-4 holds from k = 35 (10^-3.55 < 3e-4), so the lowest
+    # rel_change never reaches 1e-4 and the rate never forms; the stall rule
+    # ends the phase descent.STALL_ITERS iterations after the last new low.
+    changes = _decay(200, floor=3e-4)
+    last_low = changes.index(3e-4)
+    assert last_low == 35
+    assert _ends(changes) == (last_low + descent.STALL_ITERS, "stall")
+    # A floor above the first level never starts the stall count.
+    assert _ends(_decay(500, floor=2e-3)) == (None, None)
 
 
 @pytest.mark.parametrize("overrides, dtype", [

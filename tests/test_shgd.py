@@ -324,9 +324,10 @@ def test_result_json_contract(tmp_path, rng):
     shgd.save_result(path, res)
 
     doc = json.loads(path.read_text())
-    assert set(doc.keys()) >= {"x_hat", "iters", "single_iters", "termination",
-                               "sigma1_M0", "mu", "counter", "history"}
+    assert set(doc.keys()) >= {"x_hat", "iters", "single_iters", "single_ended_by",
+                               "termination", "sigma1_M0", "mu", "counter", "history"}
     assert doc["single_iters"] == res.single_iters == 0  # backtracking: complex128 only
+    assert doc["single_ended_by"] is res.single_ended_by is None
     assert doc["sigma1_M0"] == res.sigma1_M0 and doc["mu"] == res.mu
     assert doc["counter"] == {"fft_passes": res.counter.fft_passes,
                               "gram_flops": res.counter.gram_flops}
