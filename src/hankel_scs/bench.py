@@ -394,7 +394,7 @@ TIMING_SOLVER_DEFAULTS = dict(
 )
 
 
-def _time_to_targets(result: shgd.RecoveryResult, wall_s: float, targets):
+def _time_to_targets(result: descent.RecoveryResult, wall_s: float, targets):
     """Per-target (seconds, iterations) from a solve's error trajectory.
 
     Initialization time (wall minus the summed per-iteration times) is
@@ -481,12 +481,15 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
 def measure_flop_model(n: int, r: int) -> dict:
     """Per-iteration cost model with a measured FFT constant.
 
-    Writes the solvers' per-iteration flops as 2C n r log2(n) + 2 n r^2
+    Writes the solvers' per-iteration flops as 2C n r log2(n) + (1 + g) n r^2
     (SHGD: the gram Z^H Z and the product Z conj(A)) and 3C n r log2(n) +
-    4 n r^2 (PGD); C is calibrated as the ratio of the measured one-column
-    FFT-pass time to the measured time of n r multiply-accumulates, divided
-    by log2(n).  Returns the constant and the resulting model ratio
-    (2C log2 n + 2r) / (3C log2 n + 4r), which lies between 1/2 and 2/3.
+    2 (1 + g) n r^2 (PGD: two grams and two products), where a gram costs
+    g = 1/2 of a product from n r^2 = :data:`descent.HERK_FROM` on (BLAS herk
+    forms one triangle) and g = 1 below it.  C is calibrated as the ratio of
+    the measured one-column FFT-pass time to the measured time of n r
+    multiply-accumulates, divided by log2(n).  Returns the constant and the
+    resulting model ratio (2C log2 n + (1 + g) r) / (3C log2 n + 2 (1 + g) r),
+    which lies between 1/2 and 2/3.
     """
     n_s = (n + 2) // 2
     rng = np.random.default_rng(0)
@@ -509,7 +512,8 @@ def measure_flop_model(n: int, r: int) -> dict:
     t_mac = t_gram / (n_s * r * r)
     log2n = math.log2(n_s)
     C = t_pass / (t_mac * n_s * log2n)
-    ratio = (2 * C * log2n + 2 * r) / (3 * C * log2n + 4 * r)
+    r_terms = (1.5 if n_s * r * r >= descent.HERK_FROM else 2.0) * r
+    ratio = (2 * C * log2n + r_terms) / (3 * C * log2n + 2 * r_terms)
     return {"C": C, "ratio": ratio, "t_pass_s": t_pass, "t_mac_s": t_mac}
 
 
@@ -625,12 +629,12 @@ def _adjoint_residual(n: int, rng, weights=None) -> float:
     skew-diagonal counts).  Corrupting ``weights`` must push the residual far
     above tolerance -- the negative control for this very check.
     """
-    n_s = hankel_ops.HankelDims(n).n_s
+    shape = hankel_ops.rect_dims(n)
     w = hankel_ops.skew_diag_weights(n) if weights is None else np.asarray(weights)
     worst = 0.0
     for _ in range(5):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        M = rng.standard_normal((n_s, n_s)) + 1j * rng.standard_normal((n_s, n_s))
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         Gu = hankel_ops.lift_dense(hankel_ops.apply_D_inv(u))
         gstar_M = hankel_ops.hankel_adjoint_dense(M) / np.sqrt(w)
         lhs = complex(np.sum(Gu * np.conj(M)))
@@ -829,7 +833,7 @@ def _selftest_checks():
         x = signal_model.synthesize(model)
         mask = signal_model.uniform_mask(n, m, rng=gen)
         observed = signal_model.observe(x, mask, rng=gen)
-        config = shgd.SolverConfig(
+        config = descent.SolverConfig(
             r=r, rel_change_tol=1e-9, max_iters=300, seed=solver_seed(ss)
         )
         result = shgd.recover(observed, mask, config)

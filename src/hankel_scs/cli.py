@@ -154,7 +154,7 @@ def _cmd_recover(args) -> int:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out = args.out or "result.json"
-    shgd.save_result(out, result)
+    descent.save_result(out, result)
     last = result.history[-1] if result.history else None
     print(
         f"{args.solver}: {result.termination} after {result.iters} iterations"

@@ -389,8 +389,8 @@ def _phase_data(y_obs, iter_counts, dtype):
 
 
 def _signal(state: State) -> np.ndarray:
-    """Sample-domain iterate D^{-1} g; both solvers' lifts have (n + 1) // 2 rows."""
-    return hankel_ops.apply_D_inv(state.g, n_rows=(len(state.g) + 1) // 2)
+    """Sample-domain iterate D^{-1} g."""
+    return hankel_ops.apply_D_inv(state.g)
 
 
 def descend(

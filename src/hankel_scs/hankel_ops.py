@@ -19,38 +19,27 @@ way in and the results come back column-major with nothing transposed.  Any
 layout is accepted; a C-ordered block only costs a strided copy into the
 buffer.
 
-Rectangular lifts (n_rows + n_cols - 1 = n) are supported throughout so the
-asymmetric-factorization baseline can share the kernels.  Every kernel keeps
-the precision of its input: complex64 factors give complex64 results, with
-the skew-diagonal weights cached once per precision, and the lift operator
-acts in the precision of each block it is given.
+Geometry.  The one row rule is :func:`rect_dims`: a length-n signal lifts
+to n_1 = (n + 1) // 2 rows and n_2 = n + 1 - n_1 columns, the square lift for
+odd n, and both solvers use it; the D maps default ``n_rows`` to it.  Other
+rectangular lifts (n_rows + n_cols - 1 = n) are accepted throughout for the
+tests and the dense oracles.  Each lift shape has one cached geometry record
+(:func:`_lift`): its FFT length and its read-only skew-diagonal weights,
+from which every kernel and D map reads.  Every kernel keeps the precision
+of its input: complex64 factors give complex64 results, and the lift
+operator acts in the precision of each block it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
 _DENSE_LIMIT = 2048  # dense test oracles refuse lift dimensions beyond this
-
-
-@dataclass(frozen=True)
-class HankelDims:
-    """Dimensions of the square lift of an odd-length signal."""
-
-    n: int
-    n_s: int = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError(
-                f"square Hankel lift needs odd length, got n={self.n}; "
-                "zero-pad even-length signals by appending one sample"
-            )
-        object.__setattr__(self, "n_s", (self.n + 1) // 2)
 
 
 @dataclass
@@ -68,58 +57,64 @@ class OpCounter:
         self.gram_flops += k
 
 
-def _fft_len(n: int) -> int:
-    return 1 << (n - 1).bit_length() if n > 1 else 1
+def rect_dims(n: int) -> tuple[int, int]:
+    """The lift's shape (n_1, n_2) for length n: n_1 = (n + 1) // 2 rows and
+    n_2 = n + 1 - n_1 columns, square for odd n.  The one row rule."""
+    if n < 1:
+        raise ValueError("signal length must be >= 1")
+    n_1 = (n + 1) // 2
+    return n_1, n + 1 - n_1
 
 
-def _real_dtype(a: np.ndarray) -> np.dtype:
-    """float32 for single-precision arrays, float64 for everything else."""
-    single = a.dtype in (np.float32, np.complex64)
-    return np.dtype(np.float32 if single else np.float64)
+class _Lift(NamedTuple):
+    nfft: int
+    w: np.ndarray
+    sqrt_w: np.ndarray
+    inv_sqrt_w: np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _weights(n_rows: int, n_cols: int, dtype: np.dtype = np.dtype(np.float64)):
-    """Skew-diagonal lengths and their (inverse) square roots in ``dtype``,
-    computed in double precision and cached per precision."""
+def _lift(n_rows: int, n_cols: int, single: bool = False) -> _Lift:
+    """Geometry of the n_rows x n_cols lift: its FFT length (next power of two
+    >= n) and the read-only skew-diagonal lengths w with their (inverse)
+    square roots, computed in double precision and held in float32 when
+    ``single``."""
     n = n_rows + n_cols - 1
     a = np.arange(n)
     w = np.minimum.reduce([a + 1, np.full(n, n_rows), np.full(n, n_cols), n - a])
     w = w.astype(float)
     sqrt_w = np.sqrt(w)
-    inv_sqrt_w = 1.0 / sqrt_w
-    out = tuple(arr.astype(dtype, copy=False) for arr in (w, sqrt_w, inv_sqrt_w))
-    for arr in out:
+    dtype = np.float32 if single else np.float64
+    arrays = tuple(arr.astype(dtype, copy=False) for arr in (w, sqrt_w, 1.0 / sqrt_w))
+    for arr in arrays:
         arr.setflags(write=False)
-    return out
-
-
-def _weights_for(n: int, n_rows: int | None, dtype: np.dtype = np.dtype(np.float64)):
-    if n_rows is None:
-        n_rows = HankelDims(n).n_s
-    return _weights(n_rows, n - n_rows + 1, dtype)
+    return _Lift(1 << (n - 1).bit_length(), *arrays)
 
 
 def skew_diag_weights(n: int, n_rows: int | None = None) -> np.ndarray:
     """Skew-diagonal length vector w with w_a = #{(i, j) : i + j = a}.
 
-    For the square lift of odd n this is [1, 2, ..., n_s, ..., 2, 1].
+    ``n_rows`` defaults to the row rule; for the square lift of odd n this
+    is [1, 2, ..., n_s, ..., 2, 1].
     """
-    return _weights_for(n, n_rows)[0]
+    n_rows = rect_dims(n)[0] if n_rows is None else n_rows
+    return _lift(n_rows, n - n_rows + 1).w
 
 
 def apply_D(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
-    """Entrywise scaling [Dx]_a = sqrt(w_a) x_a."""
+    """Entrywise scaling [Dx]_a = sqrt(w_a) x_a; ``n_rows`` defaults to the row rule."""
     x = np.asarray(x)
-    _, sqrt_w, _ = _weights_for(x.shape[0], n_rows, _real_dtype(x))
-    return x * sqrt_w
+    n_rows = rect_dims(x.shape[0])[0] if n_rows is None else n_rows
+    single = x.dtype in (np.float32, np.complex64)
+    return x * _lift(n_rows, x.shape[0] - n_rows + 1, single).sqrt_w
 
 
 def apply_D_inv(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
-    """Entrywise scaling [D^{-1}x]_a = x_a / sqrt(w_a)."""
+    """Entrywise scaling [D^{-1}x]_a = x_a / sqrt(w_a); ``n_rows`` defaults to the row rule."""
     x = np.asarray(x)
-    _, _, inv_sqrt_w = _weights_for(x.shape[0], n_rows, _real_dtype(x))
-    return x * inv_sqrt_w
+    n_rows = rect_dims(x.shape[0])[0] if n_rows is None else n_rows
+    single = x.dtype in (np.float32, np.complex64)
+    return x * _lift(n_rows, x.shape[0] - n_rows + 1, single).inv_sqrt_w
 
 
 def lift_dense(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
@@ -130,7 +125,12 @@ def lift_dense(x: np.ndarray, n_rows: int | None = None) -> np.ndarray:
     x = np.asarray(x)
     n = x.shape[0]
     if n_rows is None:
-        n_rows = HankelDims(n).n_s
+        if n % 2 == 0:
+            raise ValueError(
+                f"square Hankel lift needs odd length, got n={n}; "
+                "zero-pad even-length signals by appending one sample"
+            )
+        n_rows = rect_dims(n)[0]
     n_cols = n - n_rows + 1
     if n_rows > _DENSE_LIMIT or n_cols > _DENSE_LIMIT:
         raise ValueError(
@@ -150,14 +150,6 @@ def hankel_adjoint_dense(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"dense adjoint beyond the {_DENSE_LIMIT} limit")
     F = M[::-1, :]
     return np.array([F.diagonal(k).sum() for k in range(-(n_rows - 1), n_cols)])
-
-
-def rect_dims(n: int) -> tuple[int, int]:
-    """Rectangular lift shape (n_1, n_2) with n_1 + n_2 - 1 = n."""
-    if n < 1:
-        raise ValueError("signal length must be >= 1")
-    n_1 = (n + 1) // 2
-    return n_1, n + 1 - n_1
 
 
 def mask_counts(mask) -> np.ndarray:
@@ -210,7 +202,8 @@ def hankel_corr(
     """FFT correlation kernel: out[a, l] = sum_i h[a + i] * C[i, l].
 
     Uses out[:, l] = ifft(fft(h) * conj(fft(conj(c_l)))) truncated to n_out,
-    exact because the padded length covers every index sum.  ``cbar_spectrum``
+    exact because the padded length covers every index sum; n_out is the
+    row count of the lift H(h), at most len(h).  ``cbar_spectrum``
     may carry the padded FFTs of conj(C)'s columns as (cols x nfft) rows to
     share transforms across kernels; then only C's column count is read.  The
     logical per-column pass is counted either way.  The result is the
@@ -222,8 +215,9 @@ def hankel_corr(
     single = C.ndim == 1
     if single:
         C = C[:, None]
-    n = h.shape[0]
-    nfft = _fft_len(n)
+    if not 1 <= n_out <= h.shape[0]:
+        raise ValueError(f"n_out must lie in [1, {h.shape[0]}], got {n_out}")
+    nfft = _lift(n_out, h.shape[0] - n_out + 1).nfft
     H = scipy.fft.fft(h, nfft)
     if cbar_spectrum is None:
         cbar_spectrum = _row_spectra(C, nfft, conj=True)
@@ -249,6 +243,7 @@ def lift_operator(u: np.ndarray, n_rows: int):
     Each action runs in the precision of the block it is given: ``u`` is cast
     once per precision, so complex64 blocks give complex64 results."""
     n_cols = u.shape[0] - n_rows + 1
+    nfft = _lift(n_rows, n_cols).nfft
     cast = {}
 
     def u_for(block):
@@ -263,7 +258,7 @@ def lift_operator(u: np.ndarray, n_rows: int):
     def applyH(U):
         # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
         h = u_for(U)
-        spectrum = _row_spectra(U, _fft_len(h.shape[0]))
+        spectrum = _row_spectra(U, nfft)
         return np.conj(hankel_corr(h, U, n_cols, cbar_spectrum=spectrum))
 
     return apply, applyH, (n_rows, n_cols)
@@ -273,15 +268,14 @@ def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
     """(G*(A B^T), F), F the padded column FFTs as (cols x nfft) rows: A's
     over B's from one transform, or A's alone when ``B is A``.  It calls no
     public kernel, so wrappers see one call."""
-    n = A.shape[0] + B.shape[0] - 1
-    nfft = _fft_len(n)
+    single = np.result_type(A.dtype, B.dtype, np.complex64) == np.complex64
+    lift = _lift(A.shape[0], B.shape[0], single)
     r = A.shape[1]
-    F = _row_spectra(A, nfft, below=None if B is A else B)
-    conv = scipy.fft.ifft((F[:r] * F[-r:]).sum(axis=0))[:n]
+    F = _row_spectra(A, lift.nfft, below=None if B is A else B)
+    conv = scipy.fft.ifft((F[:r] * F[-r:]).sum(axis=0))[:len(lift.w)]
     if counter is not None:
         counter.add(r)
-    _, _, inv_sqrt_w = _weights(A.shape[0], B.shape[0], _real_dtype(conv))
-    return conv * inv_sqrt_w, F
+    return conv * lift.inv_sqrt_w, F
 
 
 def gstar_outer(
@@ -340,10 +334,12 @@ def g_apply_times_conj(
 
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]).  ``z_spectrum`` may pass
     the padded (r x nfft) FFT rows of Z (= FFT of conj(conj(Z))) from
-    :func:`gstar_gram`.
+    :func:`gstar_gram`.  ``v`` must have length 2 n_s - 1 for Z's n_s rows.
     """
     v = np.asarray(v)
-    n_s = HankelDims(v.shape[0]).n_s
+    n_s = Z.shape[0]
+    if v.shape[0] != 2 * n_s - 1:
+        raise ValueError(f"v must have length 2 n_s - 1 = {2 * n_s - 1}, got {v.shape[0]}")
     u = apply_D_inv(v)
     C = Z if z_spectrum is not None else np.conj(Z)
     return hankel_corr(u, C, n_s, counter=counter, cbar_spectrum=z_spectrum)

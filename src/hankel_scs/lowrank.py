@@ -292,7 +292,9 @@ def spectral_init(observed: np.ndarray, mask, r: int, seed=None, dtype=np.comple
     """
     observed = np.asarray(observed, dtype=complex)
     n = observed.shape[0]
-    n_s = hankel_ops.HankelDims(n).n_s
+    n_s, n_cols = hankel_ops.rect_dims(n)
+    if n_cols != n_s:
+        raise ValueError(f"square Hankel lift needs odd length, got n={n}")
     if not 1 <= r <= n_s:
         raise ValueError(f"need 1 <= r <= n_s={n_s}, got r={r}")
     p_hat = mask.m / n

@@ -82,7 +82,7 @@ def _gradients_pair(state: descent.State, p, counter=None):
     n_1, r = Z_U.shape
     n_2 = Z_V.shape[0]
     w = state.masked / p - state.g
-    h = hankel_ops.apply_D_inv(w, n_rows=n_1)
+    h = hankel_ops.apply_D_inv(w)
     h *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
     # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
     # one transform of h, and a 2r-row batch whose rows have the bits of two
@@ -129,7 +129,7 @@ def rect_spectral_init(
     n = observed_y.shape[0]
     n_1, _ = rect_dims(n)
     p_hat = mask.m / n
-    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask), n_rows=n_1) / p_hat
+    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask)) / p_hat
     U, sig, V = lowrank.lift_svd(
         u, n_1, r, seed=seed, tol=lowrank.INIT_TOL,
         max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14, dtype=dtype,
@@ -154,7 +154,7 @@ def pgd_recover(
     observed, truth, scale = descent.check_inputs(observed, mask, config.r, x_true)
     n = observed.shape[0]
     n_1, n_2 = rect_dims(n)
-    y_obs = hankel_ops.apply_D(observed, n_rows=n_1)
+    y_obs = hankel_ops.apply_D(observed)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
     Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed,

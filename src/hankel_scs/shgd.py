@@ -25,7 +25,8 @@ spectral (truncated Takagi) initialization, where P_C clips factor rows to
 the incoherence radius 2 sqrt(mu r sigma / n).  That radius, the iteration
 loop, the configuration and the result types live in
 :mod:`hankel_scs.descent`, shared with the two-factor baseline in
-:mod:`hankel_scs.pgd`; they are re-exported here.
+:mod:`hankel_scs.pgd`.  ``project_C`` is bound here as a module attribute,
+so a wrapper rebound onto ``shgd.project_C`` sees each projection.
 """
 
 from __future__ import annotations
@@ -33,16 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import descent, hankel_ops, lowrank
-from .descent import (  # noqa: F401  (re-exported solver API)
-    IterRecord,
-    RecoveryResult,
-    SolverConfig,
-    estimate_mu,
-    fixed_step,
-    project_C,
-    result_to_dict,
-    save_result,
-)
+from .descent import RecoveryResult, SolverConfig, project_C
 from .signal_model import SamplingMask
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankel_scs import bench, cli, pgd, shgd, signal_model
+from hankel_scs import bench, cli, descent, pgd, shgd, signal_model
 
 TINY_PHASE = dict(
     n=31, r_values=(1, 2), p_values=(0.5, 0.9), trials=2,
@@ -609,7 +609,7 @@ def test_solver_config_builds_every_user_set_config():
     config = bench.solver_config(4, 7, {"max_iters": 5},
                                  {"max_iters": 200, "step_policy": "fixed"})
     assert (config.r, config.seed, config.max_iters, config.step_policy) == (4, 7, 5, "fixed")
-    assert bench.solver_config(4, None, {}) == shgd.SolverConfig(r=4)
+    assert bench.solver_config(4, None, {}) == descent.SolverConfig(r=4)
     for overrides, match in (({"r": 5}, r"\['r'\]"), ({"seed": 1, "K": 2}, r"\['seed'\]"),
                              ({"bogus": 1}, "bogus"), ({"mu": "x"}, "not supported"),
                              ({"max_iters": 2.5}, "max_iters must be an integer")):
@@ -628,7 +628,7 @@ REMOVED_SETTINGS = dict(eta0_scale=0.5, beta=0.5, c_armijo=1e-4, max_halvings=30
 def test_removed_solver_settings_are_rejected(tmp_path, name):
     setting = {name: REMOVED_SETTINGS[name]}
     with pytest.raises(TypeError):
-        shgd.SolverConfig(r=2, **setting)
+        descent.SolverConfig(r=2, **setting)
     with pytest.raises(ValueError, match="solver_overrides"):
         bench.ExperimentSpec(kind="phase", solver_overrides=setting)
     assert _recover_with_config(tmp_path, json.dumps(setting)) == 1

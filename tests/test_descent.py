@@ -18,7 +18,7 @@ def test_solvers_reject_nonfinite_samples(solve, bad):
     observed = observed.copy()
     observed[mask.indices[0]] = bad
     with pytest.raises(ValueError, match="finite"):
-        solve(observed, mask, shgd.SolverConfig(r=3, seed=0))
+        solve(observed, mask, descent.SolverConfig(r=3, seed=0))
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
@@ -27,7 +27,7 @@ def test_solvers_reject_a_nonfinite_truth(solve):
     x = x.copy()
     x[5] = np.nan
     with pytest.raises(ValueError, match="x_true must be finite"):
-        solve(observed, mask, shgd.SolverConfig(r=3, seed=0), x_true=x)
+        solve(observed, mask, descent.SolverConfig(r=3, seed=0), x_true=x)
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
@@ -37,7 +37,7 @@ def test_solvers_reject_a_rank_the_signal_length_cannot_hold(solve, n):
     # has 32 rows, but a length-62 signal still holds at most 31 modes.
     _, x, mask, observed = make_instance(n, 3, 40, 0)
     with pytest.raises(ValueError, match=r"n >= 2r-1"):
-        solve(observed, mask, shgd.SolverConfig(r=(n + 1) // 2 + 1, seed=0))
+        solve(observed, mask, descent.SolverConfig(r=(n + 1) // 2 + 1, seed=0))
 
 
 def test_check_rank_accepts_the_largest_rank_that_fits():
@@ -55,7 +55,7 @@ def test_solvers_are_scale_equivariant(solve, scale):
     # quartic loss neither underflows nor overflows.
     for seed in (1, 2, 3):
         _, x, mask, observed = make_instance(127, 4, 76, seed)
-        config = shgd.SolverConfig(r=4, seed=0)
+        config = descent.SolverConfig(r=4, seed=0)
         base = solve(observed, mask, config)
         scaled = solve(scale * observed, mask, config)
         assert (scaled.iters, scaled.termination) == (base.iters, base.termination)
@@ -67,9 +67,9 @@ def test_solvers_are_scale_equivariant(solve, scale):
 def test_recorded_armijo_step_is_the_last_step_tried(monkeypatch, max_halvings):
     # A first step at eta_prime=50 fails every Armijo test, so all
     # max_halvings + 1 candidates run and the last one tried is recorded.
-    monkeypatch.setattr(shgd.SolverConfig, "max_halvings", max_halvings)
+    monkeypatch.setattr(descent.SolverConfig, "max_halvings", max_halvings)
     _, x, mask, observed = make_instance(63, 3, 40, 0)
-    config = shgd.SolverConfig(r=3, eta_prime=50, mu=math.inf, max_iters=1, seed=0)
+    config = descent.SolverConfig(r=3, eta_prime=50, mu=math.inf, max_iters=1, seed=0)
     result = shgd.recover(observed, mask, config)
     rec = result.history[0]
     # One gradient and max_halvings + 1 candidate losses, r passes each.
@@ -81,9 +81,9 @@ def test_recorded_armijo_step_is_the_last_step_tried(monkeypatch, max_halvings):
 @pytest.mark.parametrize("solve", SOLVERS)
 def test_backtracking_starts_from_eta_prime(solve):
     _, x, mask, observed = make_instance(63, 3, 40, 0)
-    default = solve(observed, mask, shgd.SolverConfig(r=3, max_iters=20, seed=0))
+    default = solve(observed, mask, descent.SolverConfig(r=3, max_iters=20, seed=0))
     smaller = solve(observed, mask,
-                    shgd.SolverConfig(r=3, max_iters=20, eta_prime=0.3, seed=0))
+                    descent.SolverConfig(r=3, max_iters=20, eta_prime=0.3, seed=0))
     assert smaller.history[0].step == pytest.approx(0.4 * default.history[0].step)
     assert not np.array_equal(smaller.x_hat, default.x_hat)
 
@@ -95,7 +95,7 @@ def test_infinite_mu_never_projects(monkeypatch, module, solve, step):
     # mu = inf is how a solve runs without P_C: the radius is infinite, so
     # project_C returns its input and the solve matches one without it.
     _, x, mask, observed = make_instance(63, 3, 40, 0)
-    config = shgd.SolverConfig(r=3, max_iters=60, mu=math.inf, seed=0, **step)
+    config = descent.SolverConfig(r=3, max_iters=60, mu=math.inf, seed=0, **step)
     unbounded = solve(observed, mask, config)
     monkeypatch.setattr(module, "project_C", lambda Z, radius: Z)
     unprojected = solve(observed, mask, config)
@@ -111,7 +111,7 @@ def test_scale_equivariance_through_the_complex64_phase(solve, scale):
     # and unscaled data round differently there, so the solves agree to
     # the accuracy they reach, not to the last bit.
     _, x, mask, observed = make_instance(127, 4, 76, 1)
-    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    config = descent.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
     base = solve(observed, mask, config, x_true=x)
     scaled = solve(scale * observed, mask, config, x_true=scale * x)
     assert base.single_iters > 0 and scaled.single_iters > 0
@@ -184,7 +184,7 @@ def test_solvers_keep_their_factors_column_major(solve, step):
     # Column-major factors are the layout the Hankel kernels transform
     # without a strided copy; the returned factors show the layout held.
     _, x, mask, observed = make_instance(127, 4, 76, 0)
-    result = solve(observed, mask, shgd.SolverConfig(r=4, max_iters=30, seed=0, **step))
+    result = solve(observed, mask, descent.SolverConfig(r=4, max_iters=30, seed=0, **step))
     factors = (result.Z_final,) if solve is shgd.recover else (
         result.Z_final.Z_U, result.Z_final.Z_V)
     for Z in factors:
@@ -206,7 +206,7 @@ def test_solves_above_the_herk_threshold_keep_layout_and_scale(monkeypatch, solv
 
     monkeypatch.setattr(descent, "gram", recording)
     _, x, mask, observed = make_instance(2047, 32, 800, 0)
-    config = shgd.SolverConfig(r=32, step_policy="fixed", max_iters=3, seed=0, **step)
+    config = descent.SolverConfig(r=32, step_policy="fixed", max_iters=3, seed=0, **step)
     base = solve(observed, mask, config)
     assert shapes and all(rows * r * r >= descent.HERK_FROM for rows, r in shapes)
     assert base.iters == 3 and (base.single_iters == 3) == (step["rel_change_tol"] < 1e-5)
@@ -240,7 +240,7 @@ def _gram_dtypes(monkeypatch):
 def test_solves_outside_the_schedule_stay_in_complex128(monkeypatch, overrides):
     seen = _gram_dtypes(monkeypatch)
     _, x, mask, observed = make_instance(127, 4, 76, 1)
-    result = shgd.recover(observed, mask, shgd.SolverConfig(r=4, seed=0, **overrides))
+    result = shgd.recover(observed, mask, descent.SolverConfig(r=4, seed=0, **overrides))
     assert result.single_iters == 0
     assert set(seen) == {np.dtype(np.complex128)}
     assert result.x_hat.dtype == result.Z_final.dtype == np.complex128
@@ -250,7 +250,7 @@ def test_solves_outside_the_schedule_stay_in_complex128(monkeypatch, overrides):
 def test_fixed_step_runs_complex64_then_finishes_in_complex128(monkeypatch, solve):
     seen = _gram_dtypes(monkeypatch)
     _, x, mask, observed = make_instance(127, 4, 76, 0)
-    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    config = descent.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
     result = solve(observed, mask, config, x_true=x)
     k = result.single_iters
     assert 0 < k < result.iters
@@ -277,7 +277,7 @@ def test_stall_rule_ends_the_complex64_phase(monkeypatch):
     # complex64); the solve still reaches its tolerance.
     monkeypatch.setattr(descent, "RATE_LEVELS", (1e-3, 1e-12))
     _, x, mask, observed = make_instance(127, 4, 76, 0)
-    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-13,
+    config = descent.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-13,
                                max_iters=1000, seed=0)
     result = shgd.recover(observed, mask, config, x_true=x)
     k = result.single_iters
@@ -357,7 +357,7 @@ def test_a_floor_above_the_second_level_ends_the_phase_only_by_the_backstop():
     (dict(step_policy="backtracking", rel_change_tol=1e-9), np.complex128),
 ])
 def test_opening_dtype_is_the_schedule_rule(overrides, dtype):
-    assert descent.opening_dtype(shgd.SolverConfig(r=2, **overrides)) == dtype
+    assert descent.opening_dtype(descent.SolverConfig(r=2, **overrides)) == dtype
 
 
 INITS = ((shgd.recover, lowrank, "spectral_init"),
@@ -381,7 +381,7 @@ def _init_dtypes(monkeypatch, module, name, force=None) -> list:
 def test_fixed_step_solves_open_their_init_in_complex64(monkeypatch, solve, module, name):
     asked = _init_dtypes(monkeypatch, module, name)
     _, x, mask, observed = make_instance(127, 4, 76, 0)
-    config = shgd.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
+    config = descent.SolverConfig(r=4, step_policy="fixed", rel_change_tol=1e-9, seed=0)
     result = solve(observed, mask, config, x_true=x)
     assert asked == [np.complex64]
     assert result.termination == "tol_reached"
@@ -391,7 +391,7 @@ def test_fixed_step_solves_open_their_init_in_complex64(monkeypatch, solve, modu
 @pytest.mark.parametrize("solve, module, name", INITS)
 def test_backtracking_solves_keep_a_double_precision_init(monkeypatch, solve, module, name):
     _, x, mask, observed = make_instance(127, 4, 76, 1)
-    config = shgd.SolverConfig(r=4, rel_change_tol=1e-9, seed=0)
+    config = descent.SolverConfig(r=4, rel_change_tol=1e-9, seed=0)
     base = solve(observed, mask, config)
     asked = _init_dtypes(monkeypatch, module, name, force=np.complex128)
     forced = solve(observed, mask, config)

@@ -56,6 +56,25 @@ def test_apply_D_roundtrip_and_identity_on_length_1(rng):
         assert rel(back, x) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 30, 31, 126, 127])
+def test_D_maps_default_to_the_row_rule_for_every_length(rng, n):
+    x = rand_complex(rng, n)
+    n_1 = (n + 1) // 2
+    assert np.array_equal(hankel_ops.apply_D(x), hankel_ops.apply_D(x, n_rows=n_1))
+    assert np.array_equal(hankel_ops.apply_D_inv(x), hankel_ops.apply_D_inv(x, n_rows=n_1))
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_lift_geometry_is_read_only(single):
+    lift = hankel_ops._lift(5, 7, single)
+    assert lift.nfft == 16
+    for arr in (lift.w, lift.sqrt_w, lift.inv_sqrt_w):
+        assert arr.dtype == (np.float32 if single else np.float64)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Dense lift / adjoint oracles
 # ---------------------------------------------------------------------------
@@ -394,6 +413,20 @@ def test_kernels_hand_on_row_spectra_and_column_major_results(rng):
     # A spectrum in the old (nfft x cols) layout is refused, not broadcast.
     with pytest.raises(ValueError, match="cols x nfft"):
         hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ.T)
+
+
+def test_hankel_corr_refuses_a_lift_with_no_columns(rng):
+    h = rand_complex(rng, 5)
+    for n_out in (0, 6):
+        with pytest.raises(ValueError, match="n_out must lie in"):
+            hankel_ops.hankel_corr(h, rand_complex(rng, 2, 1), n_out)
+
+
+def test_g_apply_times_conj_refuses_a_v_of_the_wrong_length(rng):
+    Z = rand_complex(rng, 21, 3)
+    for n in (40, 42):
+        with pytest.raises(ValueError, match="2 n_s - 1 = 41"):
+            hankel_ops.g_apply_times_conj(rand_complex(rng, n), Z)
 
 
 # ---------------------------------------------------------------------------

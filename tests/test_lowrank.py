@@ -327,6 +327,12 @@ def test_spectral_init_rank_too_large(rng):
         lowrank.spectral_init(y, mask, 9, seed=0)
 
 
+def test_spectral_init_refuses_an_even_length(rng):
+    x, mask = full_mask_instance(rng, n=14, r=2)
+    with pytest.raises(ValueError, match="odd length"):
+        lowrank.spectral_init(hankel_ops.apply_D(x), mask, 2, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # complex64 subspace rounds with a double-precision finish
 # ---------------------------------------------------------------------------
@@ -385,15 +391,12 @@ def _spy_trunc_svd(monkeypatch) -> list:
 def test_complex64_inits_are_double_precision_factors(monkeypatch, rect):
     observed, mask = _sampled_lift()
     r = 4
+    y = hankel_ops.apply_D(observed)
     if rect:
-        y = hankel_ops.apply_D(observed, n_rows=hankel_ops.rect_dims(127)[0])
-
         def init(dtype):
             Z_U, Z_V, s1 = pgd.rect_spectral_init(y, mask, r, seed=0, dtype=dtype)
             return (Z_U, Z_V), s1
     else:
-        y = hankel_ops.apply_D(observed)
-
         def init(dtype):
             Z0, s1 = lowrank.spectral_init(y, mask, r, seed=0, dtype=dtype)
             return (Z0,), s1
@@ -418,6 +421,6 @@ def test_complex64_inits_still_refuse_a_rank_deficient_lift(rng):
     x, mask = full_mask_instance(rng, n=63, r=2)  # lift of rank exactly 2
     with pytest.raises(lowrank.RankDeficiencyError):
         lowrank.spectral_init(hankel_ops.apply_D(x), mask, 4, seed=0, dtype=np.complex64)
-    y = hankel_ops.apply_D(x, n_rows=hankel_ops.rect_dims(63)[0])
+    y = hankel_ops.apply_D(x)
     with pytest.raises(lowrank.RankDeficiencyError):
         pgd.rect_spectral_init(y, mask, 4, seed=0, dtype=np.complex64)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hankel_scs import hankel_ops, lowrank, pgd, shgd, signal_model
+from hankel_scs import descent, hankel_ops, lowrank, pgd, shgd, signal_model
 from conftest import dense_pgd_loss, make_instance, rand_complex, rel
 
 
@@ -75,7 +75,7 @@ def test_pgd_loss_matches_dense_oracle(rng):
 
 def test_pgd_loss_zero_at_exact_balanced_pair(rng):
     _, x, mask, observed = make_instance(31, 3, 31, rng)
-    y = hankel_ops.apply_D(observed, n_rows=16)
+    y = hankel_ops.apply_D(observed)
     pair = exact_pair_of(x, 3)
     zero = pgd.FactorPair(np.zeros_like(pair.Z_U), np.zeros_like(pair.Z_V))
     base = pgd.pgd_loss(zero, y, mask, 1.0)
@@ -86,7 +86,7 @@ def test_pgd_loss_at_zero_pair_is_scaled_observation_energy(rng):
     n, r, m = 30, 3, 14
     _, x, mask, observed = make_instance(n, r, m, rng)
     n_1, _ = pgd.rect_dims(n)
-    y = hankel_ops.apply_D(observed, n_rows=n_1)
+    y = hankel_ops.apply_D(observed)
     p = m / n
     zero = pgd.FactorPair(
         np.zeros((n_1, r), dtype=complex),
@@ -121,7 +121,7 @@ def test_pgd_gradients_match_central_finite_differences(rng):
 
 def test_pgd_gradients_vanish_at_exact_balanced_pair(rng):
     _, x, mask, observed = make_instance(63, 4, 63, rng)
-    y = hankel_ops.apply_D(observed, n_rows=32)
+    y = hankel_ops.apply_D(observed)
     pair = exact_pair_of(x, 4)
     sigma1 = float(np.linalg.svd(
         hankel_ops.lift_dense(x, n_rows=32), compute_uv=False)[0])
@@ -137,7 +137,7 @@ def test_pgd_gradients_vanish_at_exact_balanced_pair(rng):
 def test_pgd_recover_full_mask_noiseless(rng):
     n, r = 127, 4
     _, x, mask, observed = make_instance(n, r, n, rng)
-    cfg = shgd.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-9, seed=0)
+    cfg = descent.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-9, seed=0)
     res = pgd.pgd_recover(observed, mask, cfg, x_true=x)
     assert np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-6
     assert len(res.history) == res.iters
@@ -147,7 +147,7 @@ def test_pgd_recover_partial_mask_easy_regime():
     wins = 0
     for seed in range(10):
         _, x, mask, observed = make_instance(127, 4, 76, seed, min_sep=1.5 / 127)
-        cfg = shgd.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-6, seed=seed)
+        cfg = descent.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-6, seed=seed)
         res = pgd.pgd_recover(observed, mask, cfg)
         if np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-3:
             wins += 1
@@ -157,14 +157,14 @@ def test_pgd_recover_partial_mask_easy_regime():
 def test_pgd_recover_x_true_must_match_observation_length():
     _, x, mask, observed = make_instance(127, 4, 76, 0, min_sep=1.5 / 127)
     with pytest.raises(ValueError, match="x_true"):
-        pgd.pgd_recover(observed, mask, shgd.SolverConfig(r=4, seed=0), x_true=x[:50])
+        pgd.pgd_recover(observed, mask, descent.SolverConfig(r=4, seed=0), x_true=x[:50])
 
 
 def test_pgd_even_length_is_native(rng):
     """Even lengths run on the (n/2, n/2+1) lift with no padding."""
     n, r, m = 126, 3, 80
     _, x, mask, observed = make_instance(n, r, m, rng, min_sep=1.5 / n)
-    cfg = shgd.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-8, seed=1)
+    cfg = descent.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-8, seed=1)
     res = pgd.pgd_recover(observed, mask, cfg, x_true=x)
     assert res.x_hat.shape == (n,)
     assert isinstance(res.Z_final, pgd.FactorPair)
@@ -176,7 +176,7 @@ def test_pgd_even_length_is_native(rng):
 def test_pgd_balancing_gap_stays_small(rng):
     """Init is exactly balanced; the penalty keeps the gap tiny throughout."""
     _, x, mask, observed = make_instance(127, 4, 76, rng, min_sep=1.5 / 127)
-    cfg = shgd.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-9, seed=2)
+    cfg = descent.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-9, seed=2)
     res = pgd.pgd_recover(observed, mask, cfg)
     gaps = [rec.balancing_gap for rec in res.history]
     assert all(g is not None for g in gaps)
@@ -188,7 +188,7 @@ def test_pgd_fixed_step_counter_is_three_passes_per_rank_per_iteration(rng):
     _, x, mask, observed = make_instance(n, r, m, rng)
 
     def passes(iters):
-        cfg = shgd.SolverConfig(
+        cfg = descent.SolverConfig(
             r=r, max_iters=iters, rel_change_tol=1e-300,
             step_policy="fixed", eta_prime=0.5, seed=0,
         )
@@ -199,7 +199,7 @@ def test_pgd_fixed_step_counter_is_three_passes_per_rank_per_iteration(rng):
 
 def test_pgd_recover_deterministic(rng):
     _, x, mask, observed = make_instance(63, 3, 40, rng)
-    cfg = shgd.SolverConfig(r=3, max_iters=50, rel_change_tol=1e-300, seed=9)
+    cfg = descent.SolverConfig(r=3, max_iters=50, rel_change_tol=1e-300, seed=9)
     a = pgd.pgd_recover(observed, mask, cfg)
     b = pgd.pgd_recover(observed, mask, cfg)
     assert np.array_equal(a.x_hat, b.x_hat)
@@ -208,10 +208,10 @@ def test_pgd_recover_deterministic(rng):
 
 def test_pgd_result_json_carries_balancing_gap(tmp_path, rng):
     _, x, mask, observed = make_instance(63, 3, 45, rng)
-    cfg = shgd.SolverConfig(r=3, max_iters=30, seed=0)
+    cfg = descent.SolverConfig(r=3, max_iters=30, seed=0)
     res = pgd.pgd_recover(observed, mask, cfg, x_true=x)
     path = tmp_path / "result.json"
-    shgd.save_result(path, res)
+    descent.save_result(path, res)
     doc = json.loads(path.read_text())
     assert all("balancing_gap" in rec for rec in doc["history"])
     assert all(rec["balancing_gap"] >= 0 for rec in doc["history"])
@@ -219,7 +219,7 @@ def test_pgd_result_json_carries_balancing_gap(tmp_path, rng):
 
 def test_default_solves_report_an_estimated_mu_of_at_least_one():
     _, x, mask, observed = make_instance(63, 3, 40, 0, min_sep=1.5 / 63)
-    cfg = shgd.SolverConfig(r=3, max_iters=5, seed=0)
+    cfg = descent.SolverConfig(r=3, max_iters=5, seed=0)
     for solve in (shgd.recover, pgd.pgd_recover):
         assert solve(observed, mask, cfg).mu >= 1.0
 
@@ -228,8 +228,8 @@ def test_pgd_honours_the_configured_mu():
     """``mu`` sets both factors' clipping radius, as in the symmetric solver."""
     _, x, mask, observed = make_instance(63, 3, 40, 0, min_sep=1.5 / 63)
     base = dict(r=3, max_iters=30, seed=0)
-    default = pgd.pgd_recover(observed, mask, shgd.SolverConfig(**base))
-    pinned = pgd.pgd_recover(observed, mask, shgd.SolverConfig(mu=1e-3, **base))
+    default = pgd.pgd_recover(observed, mask, descent.SolverConfig(**base))
+    pinned = pgd.pgd_recover(observed, mask, descent.SolverConfig(mu=1e-3, **base))
     assert pinned.mu == 1e-3
     # A radius this small clips every row, so the iterates must differ.
     assert not np.array_equal(pinned.x_hat, default.x_hat)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hankel_scs import hankel_ops, lowrank, shgd, signal_model
+from hankel_scs import descent, hankel_ops, lowrank, shgd, signal_model
 from conftest import (
     dense_shgd_grad,
     dense_shgd_loss,
@@ -57,11 +57,11 @@ def weighted_instance(rng, n=31, r=3, m=None, sigma_e=0.0):
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
-        shgd.SolverConfig(**kwargs)
+        descent.SolverConfig(**kwargs)
 
 
 def test_config_accepts_conservative_small_step():
-    cfg = shgd.SolverConfig(r=3, step_policy="fixed", eta_prime=1.0 / 54.0)
+    cfg = descent.SolverConfig(r=3, step_policy="fixed", eta_prime=1.0 / 54.0)
     assert cfg.eta_prime == pytest.approx(1.0 / 54.0)
 
 
@@ -70,10 +70,10 @@ def test_config_accepts_conservative_small_step():
 # ---------------------------------------------------------------------------
 
 def test_fixed_step_values():
-    assert shgd.fixed_step(2.0, 0.75) == pytest.approx(0.375)
-    assert shgd.fixed_step(4.0, 0.75) == pytest.approx(0.1875)  # halves when doubled
+    assert descent.fixed_step(2.0, 0.75) == pytest.approx(0.375)
+    assert descent.fixed_step(4.0, 0.75) == pytest.approx(0.1875)  # halves when doubled
     with pytest.raises(ValueError):
-        shgd.fixed_step(0.0, 0.75)
+        descent.fixed_step(0.0, 0.75)
 
 
 def test_project_C_identity_inside_ball(rng):
@@ -100,10 +100,10 @@ def test_project_C_idempotent(rng):
 
 def test_estimate_mu_at_least_one_and_coherent_extreme(rng):
     Z = rand_complex(rng, 16, 2)
-    assert shgd.estimate_mu(Z, 31, 2) >= 1.0
+    assert descent.estimate_mu(Z, 31, 2) >= 1.0
     spike = np.zeros((16, 1), dtype=complex)
     spike[0] = 1.0
-    assert shgd.estimate_mu(spike, 31, 1) == pytest.approx(31 / 2)
+    assert descent.estimate_mu(spike, 31, 1) == pytest.approx(31 / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_gradient_matches_central_finite_differences(rng):
 def test_recover_full_mask_noiseless(rng):
     n, r = 127, 4
     model, x, mask, observed = make_instance(n, r, n, rng)
-    cfg = shgd.SolverConfig(r=r, max_iters=200, rel_change_tol=1e-9, seed=0)
+    cfg = descent.SolverConfig(r=r, max_iters=200, rel_change_tol=1e-9, seed=0)
     res = shgd.recover(observed, mask, cfg, x_true=x)
     assert np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-6
     assert res.termination in ("tol_reached", "max_iters")
@@ -206,7 +206,7 @@ def test_recover_partial_mask_easy_regime():
     wins = 0
     for seed in range(10):
         _, x, mask, observed = make_instance(127, 4, 63, seed, min_sep=1.5 / 127)
-        cfg = shgd.SolverConfig(r=4, max_iters=200, rel_change_tol=1e-5, seed=seed)
+        cfg = descent.SolverConfig(r=4, max_iters=200, rel_change_tol=1e-5, seed=seed)
         res = shgd.recover(observed, mask, cfg)
         if np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-3:
             wins += 1
@@ -216,7 +216,7 @@ def test_recover_partial_mask_easy_regime():
 def test_recover_even_length_pads_internally(rng):
     n, r, m = 126, 3, 80
     model, x, mask, observed = make_instance(n, r, m, rng, min_sep=1.5 / n)
-    cfg = shgd.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-8, seed=1)
+    cfg = descent.SolverConfig(r=r, max_iters=300, rel_change_tol=1e-8, seed=1)
     res = shgd.recover(observed, mask, cfg, x_true=x)
     assert res.x_hat.shape == (n,)
     assert np.linalg.norm(res.x_hat - x) / np.linalg.norm(x) <= 1e-3
@@ -228,13 +228,13 @@ def test_recover_even_length_pads_internally(rng):
 def test_recover_mask_length_mismatch(rng):
     _, x, mask, observed = make_instance(31, 2, 20, rng)
     with pytest.raises(ValueError):
-        shgd.recover(observed[:-1], mask, shgd.SolverConfig(r=2))
+        shgd.recover(observed[:-1], mask, descent.SolverConfig(r=2))
 
 
 def test_recover_x_true_must_match_observation_length(rng):
     _, x, mask, observed = make_instance(31, 2, 20, rng)
     with pytest.raises(ValueError, match="x_true"):
-        shgd.recover(observed, mask, shgd.SolverConfig(r=2), x_true=x[:-1])
+        shgd.recover(observed, mask, descent.SolverConfig(r=2), x_true=x[:-1])
 
 
 def test_zero_length_observation_fails_fast():
@@ -244,7 +244,7 @@ def test_zero_length_observation_fails_fast():
 
 def test_recover_max_iters_termination(rng):
     _, x, mask, observed = make_instance(63, 3, 40, rng)
-    cfg = shgd.SolverConfig(r=3, max_iters=5, rel_change_tol=1e-300, seed=0)
+    cfg = descent.SolverConfig(r=3, max_iters=5, rel_change_tol=1e-300, seed=0)
     res = shgd.recover(observed, mask, cfg)
     assert res.termination == "max_iters"
     assert res.iters == 5
@@ -252,7 +252,7 @@ def test_recover_max_iters_termination(rng):
 
 def test_recover_divergence_guard(rng):
     _, x, mask, observed = make_instance(63, 3, 40, rng)
-    cfg = shgd.SolverConfig(
+    cfg = descent.SolverConfig(
         r=3, max_iters=200, step_policy="fixed", eta_prime=500.0, seed=0,
         mu=math.inf,
     )
@@ -263,7 +263,7 @@ def test_recover_divergence_guard(rng):
 
 def test_backtracking_loss_nonincreasing(rng):
     _, x, mask, observed = make_instance(127, 4, 76, rng, min_sep=1.5 / 127)
-    cfg = shgd.SolverConfig(r=4, max_iters=80, rel_change_tol=1e-300, seed=2)
+    cfg = descent.SolverConfig(r=4, max_iters=80, rel_change_tol=1e-300, seed=2)
     res = shgd.recover(observed, mask, cfg)
     losses = [rec.loss for rec in res.history]
     assert all(b <= a + 1e-300 for a, b in zip(losses, losses[1:]))
@@ -272,7 +272,7 @@ def test_backtracking_loss_nonincreasing(rng):
 def test_projection_inactive_at_convergence(rng):
     """Row clipping may touch early iterates but not the converged factor."""
     _, x, mask, observed = make_instance(127, 4, 76, rng, min_sep=1.5 / 127)
-    cfg = shgd.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-9, seed=3)
+    cfg = descent.SolverConfig(r=4, max_iters=300, rel_change_tol=1e-9, seed=3)
     res = shgd.recover(observed, mask, cfg)
     sigma = res.sigma1_M0 / (1.0 - cfg.epsilon0)
     radius = 2.0 * math.sqrt(res.mu * cfg.r * sigma / 127)
@@ -281,7 +281,7 @@ def test_projection_inactive_at_convergence(rng):
 
 def test_sample_splitting_still_recovers(rng):
     _, x, mask, observed = make_instance(127, 3, 90, rng, min_sep=1.5 / 127)
-    cfg = shgd.SolverConfig(
+    cfg = descent.SolverConfig(
         r=3, max_iters=400, rel_change_tol=1e-8, seed=4, K=5,
     )
     res = shgd.recover(observed, mask, cfg)
@@ -294,7 +294,7 @@ def test_fixed_step_counter_is_two_passes_per_rank_per_iteration(rng):
     _, x, mask, observed = make_instance(n, r, m, rng)
 
     def passes(iters):
-        cfg = shgd.SolverConfig(
+        cfg = descent.SolverConfig(
             r=r, max_iters=iters, rel_change_tol=1e-300,
             step_policy="fixed", eta_prime=0.5, seed=0,
         )
@@ -305,7 +305,7 @@ def test_fixed_step_counter_is_two_passes_per_rank_per_iteration(rng):
 
 def test_recover_deterministic(rng):
     _, x, mask, observed = make_instance(63, 3, 40, rng)
-    cfg = shgd.SolverConfig(r=3, max_iters=50, rel_change_tol=1e-300, seed=9)
+    cfg = descent.SolverConfig(r=3, max_iters=50, rel_change_tol=1e-300, seed=9)
     a = shgd.recover(observed, mask, cfg)
     b = shgd.recover(observed, mask, cfg)
     assert np.array_equal(a.x_hat, b.x_hat)
@@ -318,10 +318,10 @@ def test_recover_deterministic(rng):
 
 def test_result_json_contract(tmp_path, rng):
     _, x, mask, observed = make_instance(63, 3, 45, rng)
-    cfg = shgd.SolverConfig(r=3, max_iters=30, seed=0)
+    cfg = descent.SolverConfig(r=3, max_iters=30, seed=0)
     res = shgd.recover(observed, mask, cfg, x_true=x)
     path = tmp_path / "result.json"
-    shgd.save_result(path, res)
+    descent.save_result(path, res)
 
     doc = json.loads(path.read_text())
     assert set(doc.keys()) >= {"x_hat", "iters", "single_iters", "single_ended_by",
@@ -342,13 +342,13 @@ def test_result_json_contract(tmp_path, rng):
 
 
 def test_result_json_encodes_nonfinite_as_null(rng):
-    rec = shgd.IterRecord(k=0, loss=float("inf"), rel_change=float("nan"),
+    rec = descent.IterRecord(k=0, loss=float("inf"), rel_change=float("nan"),
                           step=0.1, ms=1.0)
-    res = shgd.RecoveryResult(
+    res = descent.RecoveryResult(
         x_hat=np.zeros(3, dtype=complex), Z_final=None, iters=1,
         history=[rec], termination="diverged",
     )
-    doc = shgd.result_to_dict(res)
+    doc = descent.result_to_dict(res)
     assert doc["history"][0]["loss"] is None
     assert doc["history"][0]["rel_change"] is None
     assert json.dumps(doc)  # serializable
