@@ -478,6 +478,21 @@ def run_timing(spec: ExperimentSpec) -> GridResult:
     return GridResult(columns=columns, rows=rows, meta=meta)
 
 
+_FLOP_MODEL_LOOPS = 15  # timed calls per side of measure_flop_model's constant
+
+
+def _median_call_s(fn) -> float:
+    """Median wall time of :data:`_FLOP_MODEL_LOOPS` calls of ``fn``, after one
+    untimed call that warms plans and caches."""
+    fn()
+    times = []
+    for _ in range(_FLOP_MODEL_LOOPS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def measure_flop_model(n: int, r: int) -> dict:
     """Per-iteration cost model with a measured FFT constant.
 
@@ -487,32 +502,27 @@ def measure_flop_model(n: int, r: int) -> dict:
     g = 1/2 of a product from n r^2 = :data:`descent.HERK_FROM` on (BLAS herk
     forms one triangle) and g = 1 below it.  C is calibrated as the ratio of
     the measured one-column FFT-pass time to the measured time of n r
-    multiply-accumulates, divided by log2(n).  Returns the constant and the
-    resulting model ratio (2C log2 n + (1 + g) r) / (3C log2 n + 2 (1 + g) r),
-    which lies between 1/2 and 2/3.
+    multiply-accumulates, divided by log2(n), on the lift of
+    :func:`hankel_ops.rect_dims`; each time is the median of
+    :data:`_FLOP_MODEL_LOOPS` timed calls after one warm-up call.  Returns the
+    constant and the resulting model ratio
+    (2C log2 n + (1 + g) r) / (3C log2 n + 2 (1 + g) r), which lies between
+    1/2 and 2/3.
     """
-    n_s = (n + 2) // 2
+    n_1, n_2 = hankel_ops.rect_dims(n)
     rng = np.random.default_rng(0)
-    c = rng.standard_normal(2 * n_s - 1) + 1j * rng.standard_normal(2 * n_s - 1)
-    block = rng.standard_normal((n_s, r)) + 1j * rng.standard_normal((n_s, r))
-    hankel_ops.hankel_corr(c, block, n_s)  # warm the plan/cache
-    t0 = time.perf_counter()
-    loops = 3
-    for _ in range(loops):
-        hankel_ops.hankel_corr(c, block, n_s)
-    t_pass = (time.perf_counter() - t0) / (loops * r)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    block = rng.standard_normal((n_2, r)) + 1j * rng.standard_normal((n_2, r))
+    t_pass = _median_call_s(lambda: hankel_ops.hankel_corr(c, block, n_1)) / r
 
-    A = rng.standard_normal((n_s, r)) + 1j * rng.standard_normal((n_s, r))
+    A = rng.standard_normal((n_1, r)) + 1j * rng.standard_normal((n_1, r))
     G = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    A @ G
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        A @ G
-    t_gram = (time.perf_counter() - t0) / loops  # one n r^2 product
-    t_mac = t_gram / (n_s * r * r)
-    log2n = math.log2(n_s)
-    C = t_pass / (t_mac * n_s * log2n)
-    r_terms = (1.5 if n_s * r * r >= descent.HERK_FROM else 2.0) * r
+    out = np.empty_like(A)  # timed without the fresh pages of a new result
+    t_gram = _median_call_s(lambda: np.matmul(A, G, out=out))  # one n r^2 product
+    t_mac = t_gram / (n_1 * r * r)
+    log2n = math.log2(n_1)
+    C = t_pass / (t_mac * n_1 * log2n)
+    r_terms = (1.5 if n_1 * r * r >= descent.HERK_FROM else 2.0) * r
     ratio = (2 * C * log2n + r_terms) / (3 * C * log2n + 2 * r_terms)
     return {"C": C, "ratio": ratio, "t_pass_s": t_pass, "t_mac_s": t_mac}
 

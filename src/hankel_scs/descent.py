@@ -188,8 +188,11 @@ class State:
     """One evaluated iterate.
 
     ``g`` is the lifted-signal estimate G*(M), ``masked`` the count-weighted
-    residual of the data term, and ``aux`` the spectra and grams of the
-    evaluation that the solver's gradient reuses.
+    residual of the data term, and ``aux`` the spectrum and grams of the
+    evaluation that the solver's gradient reuses.  The spectrum is
+    ``aux[0]``; the gradient's correlation consumes it, so the gradient
+    replaces it with None, and the memory is free before the next candidate
+    is evaluated.
     """
 
     Zs: tuple
@@ -414,10 +417,11 @@ def descend(
     """Projected-gradient loop shared by the one- and two-factor solvers.
 
     ``evaluate(Zs, y_obs, counts, p, counter)`` returns a :class:`State`,
-    ``gradient(state, p, counter)`` the per-factor gradients and
-    ``project(Zs)`` the factors on the constraint set.  Each iteration's
-    first step is ``step_scale * config.eta_prime / sigma1``.  The result
-    keeps ``n_out`` samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as
+    ``gradient(state, p, counter)`` the per-factor gradients as fresh arrays,
+    which a fixed step overwrites, and releases the state's spectrum (see
+    :class:`State`), and ``project(Zs)`` the factors on the constraint set.
+    Each iteration's first step is ``step_scale * config.eta_prime /
+    sigma1``.  The result keeps ``n_out`` samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as
     the incoherence that set the projection radius; ``gap_of(state)`` fills
     each record's balancing gap.  Inputs are in units of the data scale
     ``scale`` (see :func:`check_inputs`), and the result is rescaled to the
@@ -425,6 +429,7 @@ def descend(
     """
     counter = hankel_ops.OpCounter()
     eta0 = fixed_step(sigma1, step_scale * config.eta_prime)
+    fixed = config.step_policy == "fixed"
     dtype = opening_dtype(config)
     y, phase_counts = _phase_data(y_obs, iter_counts, dtype)
 
@@ -453,18 +458,20 @@ def descend(
         grads = gradient(state, p, counter)
 
         def _candidate(eta):
-            # Z - eta * gz with one temporary: negating eta * gz is exact,
-            # so the sum has the same bits.
+            # Z - eta * gz as -eta * gz + Z: negating eta * gz is exact, so
+            # the sum has the same bits.  A fixed step is the only trial and
+            # forms it in the gradient's memory; each Armijo trial reads the
+            # gradient again, so it takes one temporary.
             Zs = []
             for Z, gz in zip(state.Zs, grads):
-                Z_new = gz * -eta
+                Z_new = np.multiply(gz, -eta, out=gz if fixed else None)
                 Z_new += Z
                 Zs.append(Z_new)
             return evaluate(project(tuple(Zs)), y, counts, p, counter)
 
         eta = eta0
         new_state = _candidate(eta)
-        if config.step_policy == "backtracking":
+        if not fixed:
             gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
             for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:

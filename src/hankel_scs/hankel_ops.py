@@ -12,12 +12,16 @@ length nfft = next-pow2 >= n, one per factor column.
 Layout.  Each kernel pads a block's columns as the rows of a C-ordered
 (cols x nfft) buffer and transforms it in place along contiguous rows
 (:func:`_row_spectra`); the spectra passed between kernels have that
-(cols x nfft) shape, and :func:`hankel_corr` returns the (n_out x cols)
-transpose of its row-major result.  The solvers keep their factors
-column-major (Fortran-ordered), so a factor's columns are contiguous on the
-way in and the results come back column-major with nothing transposed.  Any
-layout is accepted; a C-ordered block only costs a strided copy into the
-buffer.
+(cols x nfft) shape.  :func:`hankel_corr` consumes the spectrum it works on,
+a passed one included: it multiplies and inverse-transforms inside that
+buffer, returns the (n_out x cols) transpose of its row-major result as a
+view of it, and leaves a passed spectrum read-only.  G* forms its row
+products at most :data:`_PAIR_BLOCK_BYTES` at a time (:func:`_pair_sum`), so
+no kernel holds a second spectrum-sized block beyond that size.  The
+solvers keep their factors column-major (Fortran-ordered), so a factor's
+columns are contiguous on the way in and the results come back column-major
+with nothing transposed.  Any layout is accepted; a C-ordered block only
+costs a strided copy into the buffer.
 
 Geometry.  The one row rule is :func:`rect_dims`: a length-n signal lifts
 to n_1 = (n + 1) // 2 rows and n_2 = n + 1 - n_1 columns, the square lift for
@@ -40,6 +44,7 @@ import numpy as np
 import scipy.fft
 
 _DENSE_LIMIT = 2048  # dense test oracles refuse lift dimensions beyond this
+_PAIR_BLOCK_BYTES = 1 << 18  # G*'s row products are formed this many bytes at a time
 
 
 @dataclass
@@ -206,9 +211,12 @@ def hankel_corr(
     row count of the lift H(h), at most len(h).  ``cbar_spectrum``
     may carry the padded FFTs of conj(C)'s columns as (cols x nfft) rows to
     share transforms across kernels; then only C's column count is read.  The
-    logical per-column pass is counted either way.  The result is the
-    (n_out x cols) transpose view of a row-major array, so its columns are
-    contiguous.
+    logical per-column pass is counted either way.  The spectrum, passed or
+    computed, is consumed: the product and the inverse transform run inside
+    it, and the result is the (n_out x cols) transpose view of that
+    row-major buffer, so its columns are contiguous.  A passed spectrum is
+    left read-only, so handing it to a kernel again, or writing to it, raises
+    ValueError; a caller that needs a spectrum again passes a copy.
     """
     h = np.asarray(h)
     C = np.asarray(C)
@@ -226,14 +234,17 @@ def hankel_corr(
             f"cbar_spectrum must be (cols x nfft) = {(C.shape[1], nfft)}, "
             f"got {cbar_spectrum.shape}"
         )
-    # The product and the inverse transform reuse the fresh conjugate; the
-    # caller's spectrum is never written.
-    prod = np.conj(cbar_spectrum)
-    np.multiply(prod, H, out=prod)
-    out = scipy.fft.ifft(prod, axis=-1, overwrite_x=True)[:, :n_out].T
+    # Conjugate, multiply and inverse-transform inside the spectrum: with
+    # overwrite_x, scipy.fft hands back the same memory.
+    np.conjugate(cbar_spectrum, out=cbar_spectrum)
+    np.multiply(cbar_spectrum, H, out=cbar_spectrum)
+    out = scipy.fft.ifft(cbar_spectrum, axis=-1, overwrite_x=True)[:, :n_out].T
+    out = out[:, 0] if single else out
+    # The result view stays writeable; the consumed buffer does not.
+    cbar_spectrum.flags.writeable = False
     if counter is not None:
         counter.add(C.shape[1])
-    return out[:, 0] if single else out
+    return out
 
 
 def lift_operator(u: np.ndarray, n_rows: int):
@@ -257,11 +268,32 @@ def lift_operator(u: np.ndarray, n_rows: int):
 
     def applyH(U):
         # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
-        h = u_for(U)
-        spectrum = _row_spectra(U, nfft)
-        return np.conj(hankel_corr(h, U, n_cols, cbar_spectrum=spectrum))
+        # The correlation is a view of that spectrum, conjugated in place.
+        out = hankel_corr(u_for(U), U, n_cols, cbar_spectrum=_row_spectra(U, nfft))
+        return np.conjugate(out, out=out)
 
     return apply, applyH, (n_rows, n_cols)
+
+
+def _pair_sum(F: np.ndarray, r: int) -> np.ndarray:
+    """sum_l F[l] * F[len(F) - r + l] over l < r, with the bits of
+    ``(F[:r] * F[-r:]).sum(axis=0)``.
+
+    That expression forms the whole r x nfft product first; here rows are
+    multiplied at most :data:`_PAIR_BLOCK_BYTES` at a time, and the first
+    block's product is the buffer for the rest.  Each later block's first
+    row carries the running sum, so the rows are still added in order, one
+    after the other.  A product that fits in one block is that expression."""
+    rows = max(1, min(r, _PAIR_BLOCK_BYTES // (F.shape[1] * F.itemsize)))
+    off = len(F) - r
+    block = F[:rows] * F[off:off + rows]
+    total = block.sum(axis=0)
+    for i in range(rows, r, rows):
+        part = block[:min(rows, r - i)]
+        np.multiply(F[i:i + len(part)], F[off + i:off + i + len(part)], out=part)
+        part[0] += total
+        part.sum(axis=0, out=total)
+    return total
 
 
 def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
@@ -272,7 +304,7 @@ def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
     lift = _lift(A.shape[0], B.shape[0], single)
     r = A.shape[1]
     F = _row_spectra(A, lift.nfft, below=None if B is A else B)
-    conv = scipy.fft.ifft((F[:r] * F[-r:]).sum(axis=0))[:len(lift.w)]
+    conv = scipy.fft.ifft(_pair_sum(F, r))[:len(lift.w)]
     if counter is not None:
         counter.add(r)
     return conv * lift.inv_sqrt_w, F
@@ -290,7 +322,8 @@ def gstar_outer(
     one FFT pass per column pair.  With ``return_spectra`` the padded column
     FFTs come back too, as one (2 cols x nfft) block of rows, A's over B's
     (A's alone when ``B is A``): the conj-spectrum of the columns of
-    [conj(A), conj(B)], so one :func:`hankel_corr` correlates against both.
+    [conj(A), conj(B)], so one :func:`hankel_corr` correlates against both
+    (and consumes the block).
     """
     out, F = _gstar_conv(np.asarray(A), np.asarray(B), counter)
     return (out, F) if return_spectra else out
@@ -334,7 +367,9 @@ def g_apply_times_conj(
 
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]).  ``z_spectrum`` may pass
     the padded (r x nfft) FFT rows of Z (= FFT of conj(conj(Z))) from
-    :func:`gstar_gram`.  ``v`` must have length 2 n_s - 1 for Z's n_s rows.
+    :func:`gstar_gram`; like :func:`hankel_corr`, this consumes it (and
+    leaves it read-only), and the result is a view of its memory.  ``v``
+    must have length 2 n_s - 1 for Z's n_s rows.
     """
     v = np.asarray(v)
     n_s = Z.shape[0]

@@ -78,6 +78,7 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
 
 def _gradients_pair(state: descent.State, p, counter=None):
     F, GU, GV, B = state.aux
+    state.aux = (None, GU, GV, B)  # the correlation consumes F; the state lets it go
     Z_U, Z_V = state.Zs
     n_1, r = Z_U.shape
     n_2 = Z_V.shape[0]
@@ -87,7 +88,8 @@ def _gradients_pair(state: descent.State, p, counter=None):
     # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
     # one transform of h, and a 2r-row batch whose rows have the bits of two
     # separate calls.  With the spectrum passed, hankel_corr reads only the
-    # column count of the block it is given.
+    # column count of the block it is given; its result is a view of F, so
+    # G(w)^H Z_U's conjugate is taken in place.
     cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
     gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
     if counter is not None:
@@ -95,7 +97,7 @@ def _gradients_pair(state: descent.State, p, counter=None):
     grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
     grad_U += gw[:n_1, r:]
     grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
-    grad_V += np.conj(gw[:, :r])
+    grad_V += np.conjugate(gw[:, :r], out=gw[:, :r])
     return grad_U, grad_V
 
 

@@ -59,6 +59,7 @@ def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
 
 def _gradient(state: descent.State, p, counter=None):
     FZ, A = state.aux
+    state.aux = (None, A)  # the correlation consumes FZ; the state lets it go
     (Z,) = state.Zs
     w = state.masked / p - state.g
     gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)

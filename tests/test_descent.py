@@ -1,6 +1,7 @@
 """What both solvers share: input checks at the boundary and the step record."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,81 @@ def test_solves_above_the_herk_threshold_keep_layout_and_scale(monkeypatch, solv
     scaled = solve(4.0 ** 7 * observed, mask, config)
     assert scaled.x_hat.tobytes() == (4.0 ** 7 * base.x_hat).tobytes()
     assert [rec.loss for rec in scaled.history] == [4.0 ** 14 * rec.loss for rec in base.history]
+
+
+# A spectrum is the (cols x nfft) block of column FFTs that an evaluation
+# hands its gradient: r rows for SHGD, 2r for PGD.  One fixed-step iteration
+# needs the gradient (n x r per factor, about half a spectrum), a few
+# nfft-long vectors, the candidate's own spectrum and one G* row-product
+# block.  The gradient's correlation consumes the state's spectrum and the
+# state lets it go, and the step is formed in the gradient's memory.  At
+# n_s 4096, r 16 every G* product is blocked in both precisions, and the two
+# figures read 0.6 and 0.75-0.91 spectra.  A correlation that copies its
+# spectrum reads 1.6 during the gradient; a step in a new array reads
+# 1.25-1.41 over the iteration, and a state that keeps its spectrum 1.75-1.91.
+GRADIENT_BUDGET = 1.0  # spectra above what the iteration starts with
+ITERATION_BUDGET = 1.1
+
+
+def _fixed_step_growth(evaluate, gradient, Zs0, n, dtype):
+    """Traced memory that one fixed-step iteration of ``descend`` adds above
+    what it holds when its gradient starts, in spectra: (during the
+    gradient, from then until the candidate is evaluated)."""
+    marks = {}
+
+    def traced_gradient(state, p, counter):
+        marks.clear()
+        marks["spectrum"] = state.aux[0].nbytes
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = gradient(state, p, counter)
+        marks["gradient"] = tracemalloc.get_traced_memory()[1]
+        return grads
+
+    def traced_evaluate(*args):
+        state = evaluate(*args)
+        if "gradient" in marks and "iteration" not in marks:
+            marks["iteration"] = tracemalloc.get_traced_memory()[1]
+        return state
+
+    rng = np.random.default_rng(0)
+    counts = (rng.random(n) < 0.3).astype(float)
+    tol = 1e-9 if dtype == np.complex64 else 1e-4  # opens in complex64, or not at all
+    config = descent.SolverConfig(r=Zs0[0].shape[1], max_iters=1, rel_change_tol=tol,
+                                  step_policy="fixed")
+    kwargs = dict(
+        evaluate=traced_evaluate, gradient=traced_gradient, project=lambda Zs: Zs, Zs0=Zs0,
+        y_obs=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        iter_counts=[(counts, 0.3)], config=config, sigma1=100.0, n_out=n,
+        factor_of=lambda Zs: Zs, mu=1.0,
+    )
+    tracemalloc.start()
+    try:
+        descent.descend(**kwargs)  # FFT plans and the lift's geometry are cached
+        descent.descend(**kwargs)
+    finally:
+        tracemalloc.stop()
+    return tuple((marks[key] - marks["start"]) / marks["spectrum"]
+                 for key in ("gradient", "iteration"))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("solver", ["shgd", "pgd"])
+def test_a_fixed_step_iteration_makes_no_spectrum_sized_temporary(rng, solver, dtype):
+    n_s, r = 4096, 16
+    n = 2 * n_s - 1
+
+    def factor():
+        return np.asfortranarray(rng.standard_normal((n_s, r)) + 1j * rng.standard_normal((n_s, r)))
+
+    if solver == "shgd":
+        growth = _fixed_step_growth(lambda Zs, *args: shgd._evaluate(Zs[0], *args),
+                                    shgd._gradient, (factor(),), n, dtype)
+    else:
+        growth = _fixed_step_growth(pgd._evaluate_pair, pgd._gradients_pair,
+                                    (factor(), factor()), n, dtype)
+    assert growth[0] <= GRADIENT_BUDGET
+    assert growth[1] <= ITERATION_BUDGET
 
 
 def _gram_dtypes(monkeypatch):

@@ -297,7 +297,8 @@ def test_g_apply_matches_dense(rng):
 
 
 def test_fft_spectrum_reuse_paths_agree(rng):
-    """Passing cached spectra must not change any output."""
+    """Passing cached spectra must not change any output.  A passed spectrum
+    is consumed, so each one used twice is handed over as a copy."""
     n_s = 33
     r = 4
     Z = rand_complex(rng, n_s, r)
@@ -313,7 +314,7 @@ def test_fft_spectrum_reuse_paths_agree(rng):
     assert F.shape == (6, 64)
     h = rand_complex(rng, 33)
     direct = hankel_ops.hankel_corr(h, np.conj(B), 20)
-    reused = hankel_ops.hankel_corr(h, np.conj(B), 20, cbar_spectrum=F[3:])
+    reused = hankel_ops.hankel_corr(h, np.conj(B), 20, cbar_spectrum=F[3:].copy())
     assert rel(reused, direct) <= 1e-14
     # The whole block is the conj-spectrum of [conj(A), conj(B)]'s columns,
     # B's zero-padded to A's length: one correlation against both.
@@ -336,11 +337,48 @@ def test_stacked_spectra_have_the_bits_of_separate_transforms(rng, rows, r, dtyp
     assert F.shape == (2 * r, FA.shape[1])
     assert np.array_equal(F[:r], FA)
     h = rand_complex(rng, 2 * rows - 2).astype(dtype)
-    both = hankel_ops.hankel_corr(h, np.zeros((rows, 2 * r), dtype), rows, cbar_spectrum=F)
+    # hankel_corr consumes a passed spectrum: each call gets its own copy.
+    both = hankel_ops.hankel_corr(h, np.zeros((rows, 2 * r), dtype), rows,
+                                  cbar_spectrum=F.copy())
     for half in (slice(None, r), slice(r, None)):
         alone = hankel_ops.hankel_corr(h, np.zeros((rows, r), dtype), rows,
-                                       cbar_spectrum=np.ascontiguousarray(F[half]))
+                                       cbar_spectrum=F[half].copy())
         assert np.array_equal(both[:, half], alone)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("stacked", [1, 2])
+def test_blocked_pair_sum_has_the_bits_of_the_whole_product(rng, dtype, stacked):
+    # G* multiplies its spectrum rows a block at a time and carries the
+    # running sum in each block's first row, so the additions keep their
+    # order.  Rows of this length make blocks of 4: ranks below, at and above
+    # one block, and ranks that are no multiple of it.  ``stacked`` 2 is
+    # gstar_outer's (A's rows over B's), 1 gstar_gram's (B is A).
+    itemsize = np.dtype(dtype).itemsize
+    nfft = hankel_ops._PAIR_BLOCK_BYTES // (4 * itemsize)
+    assert hankel_ops._PAIR_BLOCK_BYTES // (nfft * itemsize) == 4
+    for r in (1, 3, 4, 5, 11):
+        F = rand_complex(rng, stacked * r, nfft).astype(dtype)
+        assert np.array_equal(hankel_ops._pair_sum(F, r), (F[:r] * F[-r:]).sum(axis=0))
+
+
+def test_hankel_corr_consumes_a_passed_spectrum(rng):
+    # The correlation is computed inside the spectrum it is given, and the
+    # result is a view of that memory.  The consumed spectrum is left
+    # read-only, so a second use raises instead of reading a product.
+    Z = rand_complex(rng, 33, 4)
+    v = rand_complex(rng, 65)
+    _, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
+    out = hankel_ops.g_apply_times_conj(v, Z, z_spectrum=FZ)
+    assert np.shares_memory(out, FZ)
+    assert out.flags.writeable and not FZ.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hankel_ops.g_apply_times_conj(v, Z, z_spectrum=FZ)
+    _, F = hankel_ops.gstar_outer(Z, Z[:20], return_spectra=True)
+    h = rand_complex(rng, 33)
+    hankel_ops.hankel_corr(h, np.zeros((20, 8)), 20, cbar_spectrum=F)
+    with pytest.raises(ValueError, match="read-only"):
+        hankel_ops.hankel_corr(h, np.zeros((20, 8)), 20, cbar_spectrum=F)
 
 
 # Layouts: the kernels transform columns as contiguous rows, whatever the

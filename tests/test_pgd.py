@@ -119,6 +119,34 @@ def test_pgd_gradients_match_central_finite_differences(rng):
         assert abs(analytic - numeric) <= 1e-5 * max(abs(numeric), 1e-8)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_pgd_gradients_release_the_spectrum_and_keep_their_bits(rng, dtype):
+    # One correlation consumes the evaluation's stacked spectrum, so the state
+    # lets it go; the gradients have the bits of two separate correlations
+    # that transform the factors afresh.
+    n, r, m = 62, 4, 30
+    n_1, n_2 = pgd.rect_dims(n)
+    mask = signal_model.uniform_mask(n, m, rng=rng)
+    y = hankel_ops.p_omega(rand_complex(rng, n), mask).astype(dtype)
+    pair = random_pair(rng, n, r)
+    Z_U, Z_V = (np.asfortranarray(Z.astype(dtype)) for Z in (pair.Z_U, pair.Z_V))
+    p = m / n
+    counts = hankel_ops.mask_counts(mask).astype(y.real.dtype)
+    state = pgd._evaluate_pair((Z_U, Z_V), y, counts, p)
+    _, GU, GV, B = state.aux
+    h = hankel_ops.apply_D_inv(state.masked / p - state.g) * 0.5
+    want_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
+    want_U += hankel_ops.hankel_corr(h, Z_V, n_2)[:n_1]
+    want_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
+    want_V += np.conj(hankel_ops.hankel_corr(h, np.conj(Z_U), n_2))
+    got_U, got_V = pgd._gradients_pair(state, p)
+    assert state.aux[0] is None and state.aux[-1] is B
+    assert np.array_equal(got_U, want_U) and np.array_equal(got_V, want_V)
+    if dtype == np.complex128:
+        grads = pgd.pgd_grads(pgd.FactorPair(Z_U, Z_V), y, mask, p)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, (want_U, want_V)))
+
+
 def test_pgd_gradients_vanish_at_exact_balanced_pair(rng):
     _, x, mask, observed = make_instance(63, 4, 63, rng)
     y = hankel_ops.apply_D(observed)

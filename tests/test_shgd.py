@@ -159,6 +159,26 @@ def test_grad_matches_dense_oracle(rng):
         assert np.linalg.norm(got - want) <= 1e-10 * (1 + np.linalg.norm(want))
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_gradient_releases_the_spectrum_and_keeps_its_bits(rng, dtype):
+    # The correlation consumes the evaluation's spectrum, so the state lets
+    # it go; the gradient has the bits of kernels that transform Z afresh.
+    n, r, m = 63, 4, 30
+    mask = signal_model.uniform_mask(n, m, rng=rng)
+    y = hankel_ops.p_omega(rand_complex(rng, n), mask).astype(dtype)
+    Z = np.asfortranarray(rand_complex(rng, (n + 1) // 2, r).astype(dtype))
+    p = m / n
+    counts = hankel_ops.mask_counts(mask).astype(y.real.dtype)
+    state = shgd._evaluate(Z, y, counts, p)
+    want = descent.right_mul(Z, np.conj(state.aux[1]))
+    want += hankel_ops.g_apply_times_conj(state.masked / p - state.g, Z)
+    (got,) = shgd._gradient(state, p)
+    assert state.aux[0] is None
+    assert np.array_equal(got, want)
+    if dtype == np.complex128:
+        assert np.array_equal(shgd.grad(Z, y, mask, p), want)
+
+
 def test_grad_vanishes_at_exact_solution(rng):
     x, mask, y = weighted_instance(rng, n=63, r=4)
     Z = takagi_factor_of(x, 4)
