@@ -284,10 +284,14 @@ def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
     """Clip factor rows to 2-norm ``radius`` (idempotent).
 
     ``Z`` itself comes back when no row is longer than ``radius``.  Row
-    energies are summed from the real and imaginary parts, so no complex
-    temporary is made; the square root is taken only for rows that clip.
+    energies are summed over one real view of the column-major factor, its
+    real and imaginary parts interleaved, so no complex temporary is made,
+    with the bits of summing the two parts apart; the square root is taken
+    only for rows that clip.  A factor of another layout is copied first.
     """
-    energy = np.einsum("ij,ij->i", Z.real, Z.real) + np.einsum("ij,ij->i", Z.imag, Z.imag)
+    V = np.asfortranarray(Z).T.view(Z.real.dtype)
+    s = np.einsum("lk,lk->k", V, V)
+    energy = s[0::2] + s[1::2]
     clip = energy > radius * radius
     if not clip.any():
         return Z

@@ -4,10 +4,12 @@ A length-n vector x (n odd, n = 2*n_s - 1) lifts to the n_s x n_s complex
 symmetric Hankel matrix (Hx)[i, j] = x[i + j].  The adjoint H* sums
 skew-diagonals, D is the diagonal map [Dx]_a = sqrt(w_a) x_a built from the
 skew-diagonal lengths w_a, and G = H D^{-1} is the normalized lift with
-G*G = I.  Everything here is matrix-free except the explicitly dense test
-oracles; the two products that dominate solver iterations --
+G*G = I.  The two products that dominate solver iterations --
 D^{-1}H*(A B^T) and H(D^{-1}v) C -- are computed by FFT convolutions of
-length nfft = next-pow2 >= n, one per factor column.
+length nfft = next-pow2 >= n, one per factor column, without forming the
+lift; a small lift is multiplied densely instead (see Geometry).  The dense
+test oracles (:func:`lift_dense`, :func:`hankel_adjoint_dense`) stay the
+tests' references for both paths.
 
 Layout.  Each kernel pads a block's columns as the rows of a C-ordered
 (cols x nfft) buffer and transforms it in place along contiguous rows
@@ -17,11 +19,15 @@ a passed one included: it multiplies and inverse-transforms inside that
 buffer, returns the (n_out x cols) transpose of its row-major result as a
 view of it, and leaves a passed spectrum read-only.  G* forms its row
 products at most :data:`_PAIR_BLOCK_BYTES` at a time (:func:`_pair_sum`), so
-no kernel holds a second spectrum-sized block beyond that size.  The
+no kernel holds a second spectrum-sized block beyond that size.  A small
+lift takes dense products instead (see Geometry): G*(A B^T) sums the
+skew-diagonals of the product A B^T, a correlation multiplies by the lift
+gathered from its signal, and no spectrum is made, so ``return_spectrum``
+and ``return_spectra`` give None and a consumer correlates afresh.  The
 solvers keep their factors column-major (Fortran-ordered), so a factor's
-columns are contiguous on the way in and the results come back column-major
-with nothing transposed.  Any layout is accepted; a C-ordered block only
-costs a strided copy into the buffer.
+columns are contiguous on the way in, and the results of both paths come
+back column-major with nothing transposed.  Any layout is accepted; a
+C-ordered block only costs a strided copy into the buffer.
 
 Geometry.  The one row rule is :func:`rect_dims`: a length-n signal lifts
 to n_1 = (n + 1) // 2 rows and n_2 = n + 1 - n_1 columns, the square lift for
@@ -29,9 +35,15 @@ odd n, and both solvers use it; the D maps default ``n_rows`` to it.  Other
 rectangular lifts (n_rows + n_cols - 1 = n) are accepted throughout for the
 tests and the dense oracles.  Each lift shape has one cached geometry record
 (:func:`_lift`): its FFT length and its read-only skew-diagonal weights,
-from which every kernel and D map reads.  Every kernel keeps the precision
-of its input: complex64 factors give complex64 results, and the lift
-operator acts in the precision of each block it is given.
+from which every kernel and D map reads.  The record also picks the path:
+a lift of at most :data:`DENSE_ROWS` rows and columns, such as the desk's
+64 x 64 at n = 127, is multiplied densely, where the FFT passes are cheap
+arithmetic wrapped in costly per-call dispatch; it then holds the cached
+index arrays of the dense products.  A larger lift is convolved by FFT.
+Either way the logical count is one FFT pass per factor column
+(:class:`OpCounter`).  Every kernel keeps the precision of its input:
+complex64 factors give complex64 results, and the lift operator acts in the
+precision of each block it is given.
 """
 
 from __future__ import annotations
@@ -71,11 +83,37 @@ def rect_dims(n: int) -> tuple[int, int]:
     return n_1, n + 1 - n_1
 
 
+# A lift with at most DENSE_ROWS rows and columns is multiplied densely, a
+# larger one by FFT convolutions (see the module docstring).  Time of one SHGD
+# kernel pair, gstar_gram with its spectrum and then g_apply_times_conj,
+# dense / FFT, on a Fortran-ordered n_s x r factor of the square lift (best
+# of repeated timings, BLAS on 1 thread, 2-core host):
+#
+#   n_s    complex128       complex64
+#          r=4    r=12      r=4    r=12
+#    48    0.72   0.63      0.67   0.66
+#    64    1.02   0.96      0.89   0.82     desk (n=127)
+#    72    0.94   0.79      0.87   0.78
+#    80    1.11   0.90      0.99   0.89
+#    88    1.15   1.00      1.08   0.97
+#    96    1.37   1.10      1.22   1.06
+#   112    1.64   1.43      1.59   1.42
+#   128    2.47   1.94      2.37   1.85
+#
+# The FFT pair's time steps up where nfft doubles (n_s = 65); the dense one
+# grows as n_s^2.  PGD's pair, gstar_outer and its gradient's correlations,
+# favours the dense path more: 0.70-1.03 at n_s = 80 and 0.92-1.29 at 96.
+DENSE_ROWS = 80
+
+
 class _Lift(NamedTuple):
     nfft: int
     w: np.ndarray
     sqrt_w: np.ndarray
     inv_sqrt_w: np.ndarray
+    index: np.ndarray | None  # i + j at each entry of a dense lift; None above DENSE_ROWS
+    diag_order: np.ndarray | None  # a dense lift's flat entries, skew-diagonal by skew-diagonal
+    diag_starts: np.ndarray | None  # where each skew-diagonal starts in diag_order
 
 
 @lru_cache(maxsize=64)
@@ -83,17 +121,26 @@ def _lift(n_rows: int, n_cols: int, single: bool = False) -> _Lift:
     """Geometry of the n_rows x n_cols lift: its FFT length (next power of two
     >= n) and the read-only skew-diagonal lengths w with their (inverse)
     square roots, computed in double precision and held in float32 when
-    ``single``."""
+    ``single``.  A lift of at most :data:`DENSE_ROWS` rows and columns also
+    holds the index arrays of its dense products: i + j at entry (i, j), and
+    the flat entries of a C-ordered n_rows x n_cols block ordered by i + j
+    (by row within one skew-diagonal), with each skew-diagonal's start."""
     n = n_rows + n_cols - 1
     a = np.arange(n)
     w = np.minimum.reduce([a + 1, np.full(n, n_rows), np.full(n, n_cols), n - a])
+    dense = (None, None, None)
+    if max(n_rows, n_cols) <= DENSE_ROWS:
+        index = np.arange(n_rows)[:, None] + np.arange(n_cols)
+        starts = np.concatenate([[0], np.cumsum(w[:-1])])
+        dense = (index, np.argsort(index, axis=None, kind="stable"), starts)
     w = w.astype(float)
     sqrt_w = np.sqrt(w)
     dtype = np.float32 if single else np.float64
     arrays = tuple(arr.astype(dtype, copy=False) for arr in (w, sqrt_w, 1.0 / sqrt_w))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _Lift(1 << (n - 1).bit_length(), *arrays)
+    for arr in arrays + dense:
+        if arr is not None:
+            arr.setflags(write=False)
+    return _Lift(1 << (n - 1).bit_length(), *arrays, *dense)
 
 
 def skew_diag_weights(n: int, n_rows: int | None = None) -> np.ndarray:
@@ -204,19 +251,24 @@ def hankel_corr(
     counter: OpCounter | None = None,
     cbar_spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
-    """FFT correlation kernel: out[a, l] = sum_i h[a + i] * C[i, l].
+    """Correlation kernel: out[a, l] = sum_i h[a + i] * C[i, l], the product
+    H(h) C with the lift H(h) of n_out rows (at most len(h)).
 
-    Uses out[:, l] = ifft(fft(h) * conj(fft(conj(c_l)))) truncated to n_out,
-    exact because the padded length covers every index sum; n_out is the
-    row count of the lift H(h), at most len(h).  ``cbar_spectrum``
-    may carry the padded FFTs of conj(C)'s columns as (cols x nfft) rows to
-    share transforms across kernels; then only C's column count is read.  The
-    logical per-column pass is counted either way.  The spectrum, passed or
-    computed, is consumed: the product and the inverse transform run inside
-    it, and the result is the (n_out x cols) transpose view of that
-    row-major buffer, so its columns are contiguous.  A passed spectrum is
-    left read-only, so handing it to a kernel again, or writing to it, raises
-    ValueError; a caller that needs a spectrum again passes a copy.
+    A lift of at most :data:`DENSE_ROWS` rows and columns is gathered from h
+    by its cached index and multiplied by a C of one row per lift column.
+    Otherwise -- a larger lift, ``cbar_spectrum`` given, or a taller C, whose
+    extra rows meet h's zero padding -- it goes by FFT:
+    out[:, l] = ifft(fft(h) * conj(fft(conj(c_l)))) truncated to n_out,
+    exact because the padded length covers every index sum.
+    ``cbar_spectrum`` may carry the padded FFTs of conj(C)'s columns as
+    (cols x nfft) rows to share transforms across kernels; then only C's
+    column count is read.  The logical per-column pass is counted on either
+    path.  The spectrum, passed or computed, is consumed: the product and the
+    inverse transform run inside it, and the result is the (n_out x cols)
+    transpose view of that row-major buffer, so its columns are contiguous.
+    A passed spectrum is left read-only, so handing it to a kernel again, or
+    writing to it, raises ValueError; a caller that needs a spectrum again
+    passes a copy.  The dense result is column-major too.
     """
     h = np.asarray(h)
     C = np.asarray(C)
@@ -225,7 +277,21 @@ def hankel_corr(
         C = C[:, None]
     if not 1 <= n_out <= h.shape[0]:
         raise ValueError(f"n_out must lie in [1, {h.shape[0]}], got {n_out}")
-    nfft = _lift(n_out, h.shape[0] - n_out + 1).nfft
+    lift = _lift(n_out, h.shape[0] - n_out + 1)
+    if cbar_spectrum is None and lift.index is not None and C.shape[0] == lift.index.shape[1]:
+        # In C's precision, as the FFT path's product; (C^T H^T)^T keeps the
+        # result column-major, as right_mul does.
+        H = h.astype(np.result_type(C.dtype, np.complex64), copy=False)[lift.index]
+        out = (C.T @ H.T).T
+    else:
+        out = _corr_fft(h, C, n_out, lift.nfft, cbar_spectrum)
+    if counter is not None:
+        counter.add(C.shape[1])
+    return out[:, 0] if single else out
+
+
+def _corr_fft(h, C, n_out, nfft, cbar_spectrum):
+    """:func:`hankel_corr` by FFT, inside the (passed or computed) spectrum."""
     H = scipy.fft.fft(h, nfft)
     if cbar_spectrum is None:
         cbar_spectrum = _row_spectra(C, nfft, conj=True)
@@ -239,11 +305,8 @@ def hankel_corr(
     np.conjugate(cbar_spectrum, out=cbar_spectrum)
     np.multiply(cbar_spectrum, H, out=cbar_spectrum)
     out = scipy.fft.ifft(cbar_spectrum, axis=-1, overwrite_x=True)[:, :n_out].T
-    out = out[:, 0] if single else out
     # The result view stays writeable; the consumed buffer does not.
     cbar_spectrum.flags.writeable = False
-    if counter is not None:
-        counter.add(C.shape[1])
     return out
 
 
@@ -251,26 +314,33 @@ def lift_operator(u: np.ndarray, n_rows: int):
     """``(apply, applyH, dims)`` of the Hankel lift H(u) with ``n_rows`` rows:
     the block actions V -> H(u) V and U -> H(u)^H U, and (n_rows, n_cols).
 
-    Each action runs in the precision of the block it is given: ``u`` is cast
-    once per precision, so complex64 blocks give complex64 results."""
+    Each action runs in the precision of the block it is given: ``u`` (and,
+    for a dense lift's adjoint, conj(u)) is cast once per precision, so
+    complex64 blocks give complex64 results."""
     n_cols = u.shape[0] - n_rows + 1
-    nfft = _lift(n_rows, n_cols).nfft
+    lift = _lift(n_rows, n_cols)
     cast = {}
 
-    def u_for(block):
-        if block.dtype not in cast:
+    def u_for(block, conj=False):
+        key = (block.dtype, conj)
+        if key not in cast:
             dtype = np.result_type(block.dtype, np.complex64)
-            cast[block.dtype] = u.astype(dtype, copy=False)
-        return cast[block.dtype]
+            cast[key] = np.conjugate(u, dtype=dtype) if conj else u.astype(dtype, copy=False)
+        return cast[key]
 
     def apply(V):
         return hankel_corr(u_for(V), V, n_rows)
 
-    def applyH(U):
-        # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
-        # The correlation is a view of that spectrum, conjugated in place.
-        out = hankel_corr(u_for(U), U, n_cols, cbar_spectrum=_row_spectra(U, nfft))
-        return np.conjugate(out, out=out)
+    if lift.index is not None:
+        def applyH(U):
+            # H(u)^H is the n_cols-row lift of conj(u).
+            return hankel_corr(u_for(U, conj=True), U, n_cols)
+    else:
+        def applyH(U):
+            # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
+            # The correlation is a view of that spectrum, conjugated in place.
+            out = hankel_corr(u_for(U), U, n_cols, cbar_spectrum=_row_spectra(U, lift.nfft))
+            return np.conjugate(out, out=out)
 
     return apply, applyH, (n_rows, n_cols)
 
@@ -297,16 +367,21 @@ def _pair_sum(F: np.ndarray, r: int) -> np.ndarray:
 
 
 def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
-    """(G*(A B^T), F), F the padded column FFTs as (cols x nfft) rows: A's
-    over B's from one transform, or A's alone when ``B is A``.  It calls no
-    public kernel, so wrappers see one call."""
-    single = np.result_type(A.dtype, B.dtype, np.complex64) == np.complex64
-    lift = _lift(A.shape[0], B.shape[0], single)
+    """(G*(A B^T), F).  A dense lift sums the skew-diagonals of the product
+    A B^T and gives F = None; a larger one convolves the padded column FFTs
+    F, as (cols x nfft) rows: A's over B's from one transform, or A's alone
+    when ``B is A``.  It calls no public kernel, so wrappers see one call."""
+    dtype = np.result_type(A.dtype, B.dtype, np.complex64)
+    lift = _lift(A.shape[0], B.shape[0], dtype == np.complex64)
     r = A.shape[1]
-    F = _row_spectra(A, lift.nfft, below=None if B is A else B)
-    conv = scipy.fft.ifft(_pair_sum(F, r))[:len(lift.w)]
     if counter is not None:
         counter.add(r)
+    if lift.index is not None:
+        P = np.matmul(A, B.T, dtype=dtype)
+        diag_sums = np.add.reduceat(P.ravel()[lift.diag_order], lift.diag_starts)
+        return diag_sums * lift.inv_sqrt_w, None
+    F = _row_spectra(A, lift.nfft, below=None if B is A else B)
+    conv = scipy.fft.ifft(_pair_sum(F, r))[:len(lift.w)]
     return conv * lift.inv_sqrt_w, F
 
 
@@ -319,11 +394,13 @@ def gstar_outer(
     """G*(A B^T) = D^{-1} H*(A B^T) without forming the lifted product.
 
     out[a] = (1/sqrt(w_a)) * sum_l (a_l * b_l)[a] with * linear convolution;
-    one FFT pass per column pair.  With ``return_spectra`` the padded column
-    FFTs come back too, as one (2 cols x nfft) block of rows, A's over B's
-    (A's alone when ``B is A``): the conj-spectrum of the columns of
-    [conj(A), conj(B)], so one :func:`hankel_corr` correlates against both
-    (and consumes the block).
+    one FFT pass per column pair, or, for a lift of at most
+    :data:`DENSE_ROWS` rows and columns, the skew-diagonal sums of A B^T.
+    With ``return_spectra`` the padded column FFTs come back too, as one
+    (2 cols x nfft) block of rows, A's over B's (A's alone when ``B is A``):
+    the conj-spectrum of the columns of [conj(A), conj(B)], so one
+    :func:`hankel_corr` correlates against both (and consumes the block).
+    A dense lift makes no spectrum and gives None in its place.
     """
     out, F = _gstar_conv(np.asarray(A), np.asarray(B), counter)
     return (out, F) if return_spectra else out
@@ -338,7 +415,7 @@ def gstar_gram(
 
     Equals ``gstar_outer(Z, Z)``.  With ``return_spectrum`` the padded column
     FFTs come back too, as (r x nfft) rows, for a following
-    :func:`g_apply_times_conj`.
+    :func:`g_apply_times_conj`; None for a dense lift, which makes none.
     """
     Z = np.asarray(Z)
     out, FZ = _gstar_conv(Z, Z, counter)
@@ -351,7 +428,7 @@ def g_apply(
     n_rows: int,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """(Gv) C = H(D^{-1}v) C computed column-by-column via FFT correlation."""
+    """(Gv) C = H(D^{-1}v) C by :func:`hankel_corr`."""
     v = np.asarray(v)
     u = apply_D_inv(v, n_rows=n_rows)
     return hankel_corr(u, C, n_rows, counter=counter)
@@ -368,8 +445,10 @@ def g_apply_times_conj(
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]).  ``z_spectrum`` may pass
     the padded (r x nfft) FFT rows of Z (= FFT of conj(conj(Z))) from
     :func:`gstar_gram`; like :func:`hankel_corr`, this consumes it (and
-    leaves it read-only), and the result is a view of its memory.  ``v``
-    must have length 2 n_s - 1 for Z's n_s rows.
+    leaves it read-only), and the result is a view of its memory.  Without
+    it, Z is conjugated and correlated afresh, densely for a lift of at most
+    :data:`DENSE_ROWS` rows.  ``v`` must have length 2 n_s - 1 for Z's n_s
+    rows.
     """
     v = np.asarray(v)
     n_s = Z.shape[0]

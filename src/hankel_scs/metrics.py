@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 
 class MetricUnboundedError(RuntimeError):
@@ -131,6 +130,10 @@ def dist_P_upper(Z: np.ndarray, Z_star: np.ndarray, max_restarts: int = 3) -> Al
         if h is None:
             return 1e300, np.zeros_like(x)
         return h, 2.0 * pack(Gc)
+
+    # Imported here, not at module level: it is this function's alone and
+    # costs about a quarter of the package's import time.
+    import scipy.optimize
 
     Q0, _ = procrustes_real_orth(Z, Z_star)
     x = pack(Q0.astype(complex))

@@ -18,7 +18,9 @@ costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
 two n_i r^2 products.  Both factors are transformed in one call, and both
 correlations share one transform of G(w)'s data in another; the 1/2 is
-applied to that data, not to the n_i x r results.  The grams are Hermitian,
+applied to that data, not to the n_i x r results.  A lift small enough for
+dense products (:data:`hankel_ops.DENSE_ROWS`) makes no spectrum, and the
+two correlations are then taken as two dense products.  The grams are Hermitian,
 and from n_i r^2 = :data:`descent.HERK_FROM` on each takes BLAS herk's one
 triangle, half the flops of a general product (:func:`descent.gram`).  Even
 n needs no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
@@ -85,19 +87,27 @@ def _gradients_pair(state: descent.State, p, counter=None):
     w = state.masked / p - state.g
     h = hankel_ops.apply_D_inv(w)
     h *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
-    # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
-    # one transform of h, and a 2r-row batch whose rows have the bits of two
-    # separate calls.  With the spectrum passed, hankel_corr reads only the
-    # column count of the block it is given; its result is a view of F, so
-    # G(w)^H Z_U's conjugate is taken in place.
-    cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
-    gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
+    if F is None:
+        # A dense lift made no spectrum: G(w) Z_V and G(w)^H Z_U, the latter
+        # as the n_2-row lift of conj(h) times Z_U.
+        gw_U = hankel_ops.hankel_corr(h, Z_V, n_1, counter=counter)
+        gw_V = hankel_ops.hankel_corr(np.conjugate(h), Z_U, n_2, counter=counter)
+    else:
+        # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
+        # one transform of h, and a 2r-row batch whose rows have the bits of
+        # two separate calls.  With the spectrum passed, hankel_corr reads
+        # only the column count of the block it is given; its result is a
+        # view of F, so G(w)^H Z_U's conjugate is taken in place.
+        cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
+        gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
+        gw_U = gw[:n_1, r:]
+        gw_V = np.conjugate(gw[:, :r], out=gw[:, :r])
     if counter is not None:
         counter.add_flops((n_1 + n_2) * r ** 2)
     grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
-    grad_U += gw[:n_1, r:]
+    grad_U += gw_U
     grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
-    grad_V += np.conjugate(gw[:, :r], out=gw[:, :r])
+    grad_V += gw_V
     return grad_U, grad_V
 
 

@@ -192,9 +192,10 @@ def test_vandermonde_column_of_a_zero_pole_is_the_first_unit_vector():
 def test_esprit_applies_the_lift_twice_and_its_adjoint_twice(monkeypatch):
     # The lift of an exactly rank-r signal is captured by one power round:
     # the range finder's apply, one round's applyH and apply, then the
-    # convergence test's applyH.  The adjoint hands hankel_corr its block's
-    # spectrum; the forward action does not.
-    model = signal_model.random_model(127, 4, rng=np.random.default_rng(2), min_sep=0.03)
+    # convergence test's applyH.  On a lift above the dense rule, the adjoint
+    # hands hankel_corr its block's spectrum; the forward action does not.
+    model = signal_model.random_model(201, 4, rng=np.random.default_rng(2), min_sep=0.03)
+    assert (201 + 1) // 2 > hankel_ops.DENSE_ROWS
     x = signal_model.synthesize(model)
     calls = []
     hankel_corr = hankel_ops.hankel_corr

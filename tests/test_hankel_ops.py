@@ -1,13 +1,17 @@
 """Structured-operator properties against brute-force oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from hankel_scs import hankel_ops, lowrank, signal_model
+from hankel_scs import descent, hankel_ops, lowrank, pgd, shgd, signal_model
 from conftest import (
     loop_adjoint,
     loop_lift,
     loop_weights,
+    make_instance,
     rand_complex,
     rel,
 )
@@ -73,6 +77,10 @@ def test_lift_geometry_is_read_only(single):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    # A lift within the dense rule also holds its dense products' indices.
+    for arr in (lift.index, lift.diag_order, lift.diag_starts):
+        assert not arr.flags.writeable
+    assert hankel_ops._lift(hankel_ops.DENSE_ROWS + 1, 7, single).index is None
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +306,11 @@ def test_g_apply_matches_dense(rng):
 
 def test_fft_spectrum_reuse_paths_agree(rng):
     """Passing cached spectra must not change any output.  A passed spectrum
-    is consumed, so each one used twice is handed over as a copy."""
-    n_s = 33
+    is consumed, so each one used twice is handed over as a copy.  Only a
+    lift above the dense rule makes spectra."""
+    n_s = 97
     r = 4
+    assert n_s > hankel_ops.DENSE_ROWS
     Z = rand_complex(rng, n_s, r)
     v = rand_complex(rng, 2 * n_s - 1)
     g, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
@@ -308,28 +318,29 @@ def test_fft_spectrum_reuse_paths_agree(rng):
     reused = hankel_ops.g_apply_times_conj(v, Z, z_spectrum=FZ)
     assert rel(reused, direct) <= 1e-14
 
-    A = rand_complex(rng, 20, 3)
-    B = rand_complex(rng, 14, 3)
+    A = rand_complex(rng, 100, 3)
+    B = rand_complex(rng, 94, 3)
     out, F = hankel_ops.gstar_outer(A, B, return_spectra=True)
-    assert F.shape == (6, 64)
-    h = rand_complex(rng, 33)
-    direct = hankel_ops.hankel_corr(h, np.conj(B), 20)
-    reused = hankel_ops.hankel_corr(h, np.conj(B), 20, cbar_spectrum=F[3:].copy())
+    assert F.shape == (6, 256)
+    h = rand_complex(rng, 193)
+    direct = hankel_ops.hankel_corr(h, np.conj(B), 100)
+    reused = hankel_ops.hankel_corr(h, np.conj(B), 100, cbar_spectrum=F[3:].copy())
     assert rel(reused, direct) <= 1e-14
     # The whole block is the conj-spectrum of [conj(A), conj(B)]'s columns,
     # B's zero-padded to A's length: one correlation against both.
     C = np.hstack([np.conj(A), np.vstack([np.conj(B), np.zeros((6, 3))])])
-    direct = hankel_ops.hankel_corr(h, C, 14)
-    reused = hankel_ops.hankel_corr(h, C, 14, cbar_spectrum=F)
+    direct = hankel_ops.hankel_corr(h, C, 94)
+    reused = hankel_ops.hankel_corr(h, C, 94, cbar_spectrum=F)
     assert rel(reused, direct) <= 1e-14
 
 
-@pytest.mark.parametrize("rows, r", [(64, 8), (8192, 30), (1024, 150)])
+@pytest.mark.parametrize("rows, r", [(96, 8), (8192, 30), (1024, 150)])
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_stacked_spectra_have_the_bits_of_separate_transforms(rng, rows, r, dtype):
     # PGD transforms both factors in one call and correlates against both in
     # another; its solves keep their bits only if a row of a stacked batch
-    # equals the same row transformed alone.
+    # equals the same row transformed alone.  Lifts above the dense rule.
+    assert rows - 1 > hankel_ops.DENSE_ROWS
     A = rand_complex(rng, rows, r).astype(dtype)
     B = rand_complex(rng, rows - 1, r).astype(dtype)
     out, F = hankel_ops.gstar_outer(A, B, return_spectra=True)
@@ -365,20 +376,22 @@ def test_blocked_pair_sum_has_the_bits_of_the_whole_product(rng, dtype, stacked)
 def test_hankel_corr_consumes_a_passed_spectrum(rng):
     # The correlation is computed inside the spectrum it is given, and the
     # result is a view of that memory.  The consumed spectrum is left
-    # read-only, so a second use raises instead of reading a product.
-    Z = rand_complex(rng, 33, 4)
-    v = rand_complex(rng, 65)
+    # read-only, so a second use raises instead of reading a product.  A lift
+    # above the dense rule, which makes spectra.
+    Z = rand_complex(rng, 97, 4)
+    assert Z.shape[0] > hankel_ops.DENSE_ROWS
+    v = rand_complex(rng, 193)
     _, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
     out = hankel_ops.g_apply_times_conj(v, Z, z_spectrum=FZ)
     assert np.shares_memory(out, FZ)
     assert out.flags.writeable and not FZ.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         hankel_ops.g_apply_times_conj(v, Z, z_spectrum=FZ)
-    _, F = hankel_ops.gstar_outer(Z, Z[:20], return_spectra=True)
-    h = rand_complex(rng, 33)
-    hankel_ops.hankel_corr(h, np.zeros((20, 8)), 20, cbar_spectrum=F)
+    _, F = hankel_ops.gstar_outer(Z, Z[:84], return_spectra=True)
+    h = rand_complex(rng, 180)
+    hankel_ops.hankel_corr(h, np.zeros((84, 8)), 84, cbar_spectrum=F)
     with pytest.raises(ValueError, match="read-only"):
-        hankel_ops.hankel_corr(h, np.zeros((20, 8)), 20, cbar_spectrum=F)
+        hankel_ops.hankel_corr(h, np.zeros((84, 8)), 84, cbar_spectrum=F)
 
 
 # Layouts: the kernels transform columns as contiguous rows, whatever the
@@ -391,10 +404,9 @@ LAYOUTS = {
 }
 
 
-def _layout_cases(rng):
-    n_1, n_2, r = 23, 18, 4
+def _layout_kernels(rng, n_1, n_2, n_s):
+    r = 4
     n = n_1 + n_2 - 1
-    n_s = 21
     A = rand_complex(rng, n_1, r)
     B = rand_complex(rng, n_2, r)
     Z = rand_complex(rng, n_s, r)
@@ -429,6 +441,20 @@ def _layout_cases(rng):
     }
 
 
+def _layout_cases(rng):
+    # Each kernel on a lift within the dense rule (dense products) and, as
+    # "<kernel>_fft", on one above it (FFT convolutions).  Spectra exist only
+    # above it, so the cases that pass one run there alone.
+    dense = (23, 18, 21)
+    fft = (90, 85, 86)
+    assert max(dense) <= hankel_ops.DENSE_ROWS < min(fft)
+    cases = {name: case for name, case in _layout_kernels(rng, *dense).items()
+             if not name.endswith("_spectrum")}
+    for name, case in _layout_kernels(rng, *fft).items():
+        cases[name if name.endswith("_spectrum") else name + "_fft"] = case
+    return cases
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("kernel", sorted(_layout_cases(np.random.default_rng(0))))
 @pytest.mark.parametrize("dtype, tol", [(np.complex128, 1e-12), (np.complex64, 2e-5)])
@@ -441,16 +467,29 @@ def test_kernels_match_dense_on_every_layout(rng, kernel, layout, dtype, tol):
 
 def test_kernels_hand_on_row_spectra_and_column_major_results(rng):
     # Spectra are (cols x nfft) rows; correlations come back with
-    # contiguous columns, so column-major factors stay column-major.
-    Z = np.asfortranarray(rand_complex(rng, 21, 4))
+    # contiguous columns, so column-major factors stay column-major.  A lift
+    # above the dense rule, which makes spectra.
+    Z = np.asfortranarray(rand_complex(rng, 97, 4))
+    assert Z.shape[0] > hankel_ops.DENSE_ROWS
     _, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
-    assert FZ.shape == (4, 64) and FZ.flags.c_contiguous
-    out = hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ)
-    assert out.shape == (21, 4) and out.strides[0] == out.itemsize
+    assert FZ.shape == (4, 256) and FZ.flags.c_contiguous
+    out = hankel_ops.g_apply_times_conj(rand_complex(rng, 193), Z, z_spectrum=FZ)
+    assert out.shape == (97, 4) and out.strides[0] == out.itemsize
     assert (out + Z).flags.f_contiguous
     # A spectrum in the old (nfft x cols) layout is refused, not broadcast.
     with pytest.raises(ValueError, match="cols x nfft"):
-        hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ.T)
+        hankel_ops.g_apply_times_conj(rand_complex(rng, 193), Z, z_spectrum=FZ.T)
+    # A lift within the rule makes no spectrum, and its dense correlations
+    # come back column-major too.
+    Z = np.asfortranarray(rand_complex(rng, 21, 4))
+    _, FZ = hankel_ops.gstar_gram(Z, return_spectrum=True)
+    assert FZ is None
+    out = hankel_ops.g_apply_times_conj(rand_complex(rng, 41), Z, z_spectrum=FZ)
+    assert out.shape == (21, 4) and out.strides[0] == out.itemsize
+    assert (out + Z).flags.f_contiguous
+    apply, applyH, _ = hankel_ops.lift_operator(rand_complex(rng, 41), 23)
+    for act, rows in ((apply, 19), (applyH, 23)):
+        assert act(np.asfortranarray(rand_complex(rng, rows, 4))).strides[0] == 16
 
 
 def test_hankel_corr_refuses_a_lift_with_no_columns(rng):
@@ -530,6 +569,39 @@ def test_counter_counts_one_pass_per_column(rng):
     assert c.gram_flops == 7
 
 
+@pytest.mark.parametrize("n, transforms", [
+    (127, False),  # the desk: a 64 x 64 lift
+    (2 * hankel_ops.DENSE_ROWS + 1, True),  # one row above the dense rule
+])
+@pytest.mark.parametrize("step_policy", ["backtracking", "fixed"])
+def test_solves_on_small_lifts_make_no_fft_call(monkeypatch, n, transforms, step_policy):
+    # Within the dense rule, both solvers' spectral inits and loops take
+    # dense products throughout, in complex128 (backtracking) and in
+    # complex64 (where a fixed step opens): hankel_ops makes no transform.
+    # One row above the rule, it does.
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fft = SimpleNamespace(fft=counting(scipy.fft.fft), ifft=counting(scipy.fft.ifft))
+    monkeypatch.setattr(hankel_ops, "scipy", SimpleNamespace(fft=fft))
+    r = 4
+    _, _, mask, observed = make_instance(n, r, (3 * n) // 5, 7, min_sep=1.5 / n)
+    config = descent.SolverConfig(r=r, max_iters=6, step_policy=step_policy,
+                                  rel_change_tol=1e-9, seed=0)
+    for solve, passes in ((shgd.recover, 2 * r), (pgd.pgd_recover, 3 * r)):
+        calls.clear()
+        res = solve(observed, mask, config)
+        assert bool(calls) == transforms
+        if step_policy == "fixed":
+            # The logical count stays one pass per factor column either way.
+            assert {rec.fft_passes for rec in res.history} == {passes}
+
+
 def test_cost_scaling_near_linear(rng):
     """Doubling n at fixed r grows one kernel call by at most 2.6x."""
     import time
@@ -581,11 +653,14 @@ def test_kernels_keep_single_precision(rng, kernel):
 
 
 def test_lift_operator_acts_in_the_precision_of_its_block(rng, monkeypatch):
-    u = rand_complex(rng, 63)
-    apply, applyH, (n_rows, n_cols) = hankel_ops.lift_operator(u, 20)
+    # A lift above the dense rule, whose adjoint correlates against U's
+    # spectrum: one cast of u per precision serves both actions.
+    u = rand_complex(rng, 183)
+    apply, applyH, (n_rows, n_cols) = hankel_ops.lift_operator(u, 100)
+    assert n_rows > hankel_ops.DENSE_ROWS
     V = rand_complex(rng, n_cols, 3)
     U = rand_complex(rng, n_rows, 3)
-    M = hankel_ops.lift_dense(u, n_rows=20)
+    M = hankel_ops.lift_dense(u, n_rows=100)
     # Double-precision blocks take the kernel's path unchanged.
     assert np.array_equal(apply(V), hankel_ops.hankel_corr(u, V, n_rows))
     signals = []

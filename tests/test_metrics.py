@@ -1,5 +1,9 @@
 """Factor-distance metric, incoherence, and the inequality-chain checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,16 @@ from conftest import rand_complex
 
 def random_factor(rng, n_s=20, r=3):
     return rand_complex(rng, n_s, r)
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # Only dist_P_upper uses scipy.optimize, and loading it is a large share
+    # of the package's import time, which every CLI call pays.
+    code = "import sys, hankel_scs; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

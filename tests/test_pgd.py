@@ -123,9 +123,11 @@ def test_pgd_gradients_match_central_finite_differences(rng):
 def test_pgd_gradients_release_the_spectrum_and_keep_their_bits(rng, dtype):
     # One correlation consumes the evaluation's stacked spectrum, so the state
     # lets it go; the gradients have the bits of two separate correlations
-    # that transform the factors afresh.
-    n, r, m = 62, 4, 30
+    # that transform the factors afresh.  A lift above the dense rule, which
+    # makes spectra.
+    n, r, m = 192, 4, 92
     n_1, n_2 = pgd.rect_dims(n)
+    assert n_1 > hankel_ops.DENSE_ROWS
     mask = signal_model.uniform_mask(n, m, rng=rng)
     y = hankel_ops.p_omega(rand_complex(rng, n), mask).astype(dtype)
     pair = random_pair(rng, n, r)

@@ -163,7 +163,9 @@ def test_grad_matches_dense_oracle(rng):
 def test_gradient_releases_the_spectrum_and_keeps_its_bits(rng, dtype):
     # The correlation consumes the evaluation's spectrum, so the state lets
     # it go; the gradient has the bits of kernels that transform Z afresh.
-    n, r, m = 63, 4, 30
+    # A lift above the dense rule, which makes spectra.
+    n, r, m = 193, 4, 92
+    assert (n + 1) // 2 > hankel_ops.DENSE_ROWS
     mask = signal_model.uniform_mask(n, m, rng=rng)
     y = hankel_ops.p_omega(rand_complex(rng, n), mask).astype(dtype)
     Z = np.asfortranarray(rand_complex(rng, (n + 1) // 2, r).astype(dtype))
