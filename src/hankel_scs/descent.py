@@ -188,17 +188,17 @@ class State:
     """One evaluated iterate.
 
     ``g`` is the lifted-signal estimate G*(M), ``masked`` the count-weighted
-    residual of the data term, and ``aux`` the spectrum and grams of the
-    evaluation that the solver's gradient reuses.  The spectrum is
-    ``aux[0]``; the gradient's correlation consumes it, so the gradient
-    replaces it with None, and the memory is free before the next candidate
-    is evaluated.
+    residual of the data term, ``spectrum`` the factors' column FFTs from
+    G*(M) (None for a dense lift) and ``aux`` the grams the gradient reuses.
+    The gradient's correlation consumes the spectrum, and :func:`descend`
+    drops it as soon as the gradient returns, before the next evaluation.
     """
 
     Zs: tuple
     g: np.ndarray
     masked: np.ndarray
     loss: float
+    spectrum: np.ndarray | None
     aux: tuple
 
 
@@ -375,7 +375,7 @@ def split_for_iterations(mask: SamplingMask, config: SolverConfig):
     return parts[0], [(hankel_ops.mask_counts(m), m.p) for m in parts[1:]]
 
 
-def make_state(Zs, g, m_norm2, y_obs, counts, p, aux, extra_loss=0.0) -> State:
+def make_state(Zs, g, m_norm2, y_obs, counts, p, spectrum, aux, extra_loss=0.0) -> State:
     """State with the shared loss terms: data misfit and Hankel penalty.
 
     ``m_norm2`` is ||M||_F^2, so ||(I - GG*)M||_F^2 = m_norm2 - ||g||^2;
@@ -385,7 +385,7 @@ def make_state(Zs, g, m_norm2, y_obs, counts, p, aux, extra_loss=0.0) -> State:
     masked = counts * resid
     data = float(np.real(np.vdot(masked, resid))) / (4.0 * p)
     pen = max(0.25 * (m_norm2 - float(np.real(np.vdot(g, g)))), 0.0)
-    return State(Zs, g, masked, max(data + pen + extra_loss, 0.0), aux)
+    return State(Zs, g, masked, max(data + pen + extra_loss, 0.0), spectrum, aux)
 
 
 def _phase_data(y_obs, iter_counts, dtype):
@@ -422,7 +422,7 @@ def descend(
 
     ``evaluate(Zs, y_obs, counts, p, counter)`` returns a :class:`State`,
     ``gradient(state, p, counter)`` the per-factor gradients as fresh arrays,
-    which a fixed step overwrites, and releases the state's spectrum (see
+    which a fixed step overwrites, consuming the state's spectrum (see
     :class:`State`), and ``project(Zs)`` the factors on the constraint set.
     Each iteration's first step is ``step_scale * config.eta_prime /
     sigma1``.  The result keeps ``n_out`` samples, ``factor_of(Zs)`` as ``Z_final`` and ``mu`` as
@@ -460,6 +460,7 @@ def descend(
             state = evaluate(Zs, y, counts, p, counter)
             x_prev = _signal(state)
         grads = gradient(state, p, counter)
+        state.spectrum = None  # consumed by the gradient; its memory goes now
 
         def _candidate(eta):
             # Z - eta * gz as -eta * gz + Z: negating eta * gz is exact, so

@@ -7,9 +7,13 @@ skew-diagonal lengths w_a, and G = H D^{-1} is the normalized lift with
 G*G = I.  The two products that dominate solver iterations --
 D^{-1}H*(A B^T) and H(D^{-1}v) C -- are computed by FFT convolutions of
 length nfft = next-pow2 >= n, one per factor column, without forming the
-lift; a small lift is multiplied densely instead (see Geometry).  The dense
-test oracles (:func:`lift_dense`, :func:`hankel_adjoint_dense`) stay the
-tests' references for both paths.
+lift; a small lift is multiplied densely instead (see Geometry).  Each
+solver's gradient pairs a G* kernel with a correlation kernel, the first
+handing its factors' spectra to the second: :func:`gstar_gram` to
+:func:`g_apply_times_conj` (symmetric, G(v) conj(Z)), and :func:`gstar_outer`
+of (Z_U, conj(Z_V)) to :func:`g_apply_pair` (two-factor, G(v) Z_V and
+G(v)^H Z_U).  The dense test oracles (:func:`lift_dense`,
+:func:`hankel_adjoint_dense`) stay the tests' references for both paths.
 
 Layout.  Each kernel pads a block's columns as the rows of a C-ordered
 (cols x nfft) buffer and transforms it in place along contiguous rows
@@ -442,13 +446,11 @@ def g_apply_times_conj(
 ) -> np.ndarray:
     """H(D^{-1}v) conj(Z) for the square lift, never materializing H.
 
-    out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]).  ``z_spectrum`` may pass
-    the padded (r x nfft) FFT rows of Z (= FFT of conj(conj(Z))) from
-    :func:`gstar_gram`; like :func:`hankel_corr`, this consumes it (and
-    leaves it read-only), and the result is a view of its memory.  Without
-    it, Z is conjugated and correlated afresh, densely for a lift of at most
-    :data:`DENSE_ROWS` rows.  ``v`` must have length 2 n_s - 1 for Z's n_s
-    rows.
+    out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]), for ``v`` of length
+    2 n_s - 1.  ``z_spectrum``, Z's (r x nfft) FFT rows from
+    :func:`gstar_gram`, is the conj-spectrum of conj(Z): :func:`hankel_corr`
+    consumes it, and the result is a view of it.  Without it, conj(Z) is
+    correlated afresh, densely for a small lift.
     """
     v = np.asarray(v)
     n_s = Z.shape[0]
@@ -457,3 +459,32 @@ def g_apply_times_conj(
     u = apply_D_inv(v)
     C = Z if z_spectrum is not None else np.conj(Z)
     return hankel_corr(u, C, n_s, counter=counter, cbar_spectrum=z_spectrum)
+
+
+def g_apply_pair(v: np.ndarray, Z_U: np.ndarray, Z_V: np.ndarray,
+                 counter: OpCounter | None = None, spectra: np.ndarray | None = None):
+    """(G(v) Z_V, G(v)^H Z_U) on the lift of Z_U's n_1 rows and Z_V's n_2
+    columns, for ``v`` of length n_1 + n_2 - 1, never materializing G.
+
+    ``spectra``, the stacked block of ``gstar_outer(Z_U, conj(Z_V),
+    return_spectra=True)``, is the conj-spectrum of [conj(Z_U), Z_V]: one
+    :func:`hankel_corr` consumes it and takes both products with one
+    transform of D^{-1}v, with the bits of two separate correlations, and
+    both results are views of it.  Without it, each product is correlated
+    afresh, densely for a small lift; G(v)^H is the n_2-row lift of
+    conj(D^{-1}v).
+    """
+    v = np.asarray(v)
+    (n_1, r), n_2 = Z_U.shape, Z_V.shape[0]
+    if v.shape[0] != n_1 + n_2 - 1:
+        raise ValueError(f"v must have length n_1 + n_2 - 1 = {n_1 + n_2 - 1}, got {v.shape[0]}")
+    u = apply_D_inv(v, n_rows=n_1)
+    if spectra is None:
+        return (hankel_corr(u, Z_V, n_1, counter=counter),
+                hankel_corr(np.conjugate(u), Z_U, n_2, counter=counter))
+    # hankel_corr reads only the column count of a block whose spectrum is
+    # passed; rows past a product's own come from the taller lift and go.
+    n_out = max(n_1, n_2)
+    cols = np.broadcast_to(spectra.dtype.type(0), (n_out, 2 * r))
+    gw = hankel_corr(u, cols, n_out, counter=counter, cbar_spectrum=spectra)
+    return gw[:n_1, r:], np.conjugate(gw[:n_2, :r], out=gw[:n_2, :r])

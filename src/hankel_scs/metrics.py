@@ -12,8 +12,7 @@ gap
 
     (Z_star P)^H (Z - Z_star P) = (Z - Z_star P^{-T})^T conj(Z_star P^{-T})
 
-at the reported alignment.  The module also measures incoherence of a
-subspace and checks the Procrustes sandwich
+at the reported alignment.  The module also checks the Procrustes sandwich
 
     dist_P^2 <= 2 min_{Q real orth} ||Z - Z_star Q||_F^2
             <= (sqrt(2)+1)/sigma_r(M_star) * ||M - M_star||_F^2
@@ -174,17 +173,6 @@ def random_complex_orthogonal(r: int, scale: float, rng=None) -> np.ndarray:
         W *= scale / norm
         return Q @ scipy.linalg.expm(1j * W)
     return Q.astype(complex)
-
-
-def incoherence(U: np.ndarray, n: int) -> float:
-    """Smallest mu_0 with ||U||_{2,inf}^2 <= 2 mu_0 r / n for orthonormal U."""
-    U = np.asarray(U)
-    r = U.shape[1]
-    gram_defect = np.linalg.norm(U.conj().T @ U - np.eye(r))
-    if gram_defect > 1e-8:
-        raise ValueError("columns must be orthonormal")
-    row_max = float((np.abs(U) ** 2).sum(axis=1).max())
-    return n * row_max / (2 * r)
 
 
 def lemma4_check(Z: np.ndarray, Z_star: np.ndarray,

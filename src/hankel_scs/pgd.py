@@ -16,11 +16,9 @@ w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 
 costing three r-column FFT passes per iteration (one for G*M, one each for
 the two correlations) against the symmetric solver's two, plus two grams and
-two n_i r^2 products.  Both factors are transformed in one call, and both
-correlations share one transform of G(w)'s data in another; the 1/2 is
-applied to that data, not to the n_i x r results.  A lift small enough for
-dense products (:data:`hankel_ops.DENSE_ROWS`) makes no spectrum, and the
-two correlations are then taken as two dense products.  The grams are Hermitian,
+two n_i r^2 products.  The correlations are :func:`hankel_ops.g_apply_pair`,
+which takes the factors' spectra from the evaluation's G*M; the 1/2 is
+applied to w, not to the n_i x r results.  The grams are Hermitian,
 and from n_i r^2 = :data:`descent.HERK_FROM` on each takes BLAS herk's one
 triangle, half the flops of a general product (:func:`descent.gram`).  Even
 n needs no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
@@ -74,36 +72,18 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     m_norm2 = float(np.real(np.vdot(GV, GU)))
     balance = LAMBDA_BALANCE * float(np.real(np.vdot(B, B)))
     return descent.make_state(
-        Zs, g, m_norm2, y_obs, counts, p, aux=(F, GU, GV, B), extra_loss=balance
+        Zs, g, m_norm2, y_obs, counts, p, spectrum=F, aux=(GU, GV, B), extra_loss=balance
     )
 
 
 def _gradients_pair(state: descent.State, p, counter=None):
-    F, GU, GV, B = state.aux
-    state.aux = (None, GU, GV, B)  # the correlation consumes F; the state lets it go
+    GU, GV, B = state.aux
     Z_U, Z_V = state.Zs
-    n_1, r = Z_U.shape
-    n_2 = Z_V.shape[0]
     w = state.masked / p - state.g
-    h = hankel_ops.apply_D_inv(w)
-    h *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
-    if F is None:
-        # A dense lift made no spectrum: G(w) Z_V and G(w)^H Z_U, the latter
-        # as the n_2-row lift of conj(h) times Z_U.
-        gw_U = hankel_ops.hankel_corr(h, Z_V, n_1, counter=counter)
-        gw_V = hankel_ops.hankel_corr(np.conjugate(h), Z_U, n_2, counter=counter)
-    else:
-        # One correlation against [conj(Z_U), Z_V], whose conj-spectrum is F:
-        # one transform of h, and a 2r-row batch whose rows have the bits of
-        # two separate calls.  With the spectrum passed, hankel_corr reads
-        # only the column count of the block it is given; its result is a
-        # view of F, so G(w)^H Z_U's conjugate is taken in place.
-        cols = np.broadcast_to(F.dtype.type(0), (n_2, 2 * r))
-        gw = hankel_ops.hankel_corr(h, cols, n_2, counter=counter, cbar_spectrum=F)
-        gw_U = gw[:n_1, r:]
-        gw_V = np.conjugate(gw[:, :r], out=gw[:, :r])
+    w *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
+    gw_U, gw_V = hankel_ops.g_apply_pair(w, Z_U, Z_V, counter=counter, spectra=state.spectrum)
     if counter is not None:
-        counter.add_flops((n_1 + n_2) * r ** 2)
+        counter.add_flops((Z_U.shape[0] + Z_V.shape[0]) * Z_U.shape[1] ** 2)
     grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
     grad_U += gw_U
     grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)

@@ -54,15 +54,14 @@ def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
     m_norm2 = float(np.real((A * A).sum()))  # ||Z Z^T||_F^2 via the gram
-    return descent.make_state((Z,), g, m_norm2, y_obs, counts, p, aux=(FZ, A))
+    return descent.make_state((Z,), g, m_norm2, y_obs, counts, p, spectrum=FZ, aux=(A,))
 
 
 def _gradient(state: descent.State, p, counter=None):
-    FZ, A = state.aux
-    state.aux = (None, A)  # the correlation consumes FZ; the state lets it go
+    (A,) = state.aux
     (Z,) = state.Zs
     w = state.masked / p - state.g
-    gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=FZ)
+    gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=state.spectrum)
     if counter is not None:
         counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
     grad_Z = descent.right_mul(Z, np.conj(A))

@@ -23,6 +23,16 @@ def test_solvers_reject_nonfinite_samples(solve, bad):
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
+def test_all_zero_samples_keep_unit_scale_and_fail_in_the_init(solve):
+    # Zero data has no power-of-four scale; it keeps 1, and the init then
+    # finds a lift of rank 0, not a division by zero.
+    _, x, mask, observed = make_instance(63, 3, 40, 0)
+    assert descent.data_scale(np.zeros_like(observed)) == 1.0
+    with pytest.raises(lowrank.RankDeficiencyError):
+        solve(np.zeros_like(observed), mask, descent.SolverConfig(r=3, seed=0))
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
 def test_solvers_reject_a_nonfinite_truth(solve):
     _, x, mask, observed = make_instance(63, 3, 40, 0)
     x = x.copy()
@@ -225,12 +235,13 @@ def test_solves_above_the_herk_threshold_keep_layout_and_scale(monkeypatch, solv
 # hands its gradient: r rows for SHGD, 2r for PGD.  One fixed-step iteration
 # needs the gradient (n x r per factor, about half a spectrum), a few
 # nfft-long vectors, the candidate's own spectrum and one G* row-product
-# block.  The gradient's correlation consumes the state's spectrum and the
-# state lets it go, and the step is formed in the gradient's memory.  At
-# n_s 4096, r 16 every G* product is blocked in both precisions, and the two
-# figures read 0.6 and 0.75-0.91 spectra.  A correlation that copies its
-# spectrum reads 1.6 during the gradient; a step in a new array reads
-# 1.25-1.41 over the iteration, and a state that keeps its spectrum 1.75-1.91.
+# block.  The gradient's correlation consumes the state's spectrum, the loop
+# drops it as soon as the gradient returns, and the step is formed in the
+# gradient's memory.  At n_s 4096, r 16 every G* product is blocked in both
+# precisions, and the two figures read 0.6 and 0.75-0.91 spectra.  A
+# correlation that copies its spectrum reads 1.6 during the gradient; a step
+# in a new array reads 1.25-1.41 over the iteration, and a state that keeps
+# its spectrum 1.75-1.91.
 GRADIENT_BUDGET = 1.0  # spectra above what the iteration starts with
 ITERATION_BUDGET = 1.1
 
@@ -243,7 +254,7 @@ def _fixed_step_growth(evaluate, gradient, Zs0, n, dtype):
 
     def traced_gradient(state, p, counter):
         marks.clear()
-        marks["spectrum"] = state.aux[0].nbytes
+        marks["spectrum"] = state.spectrum.nbytes
         marks["start"] = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         grads = gradient(state, p, counter)

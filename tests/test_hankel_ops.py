@@ -415,13 +415,15 @@ def _layout_kernels(rng, n_1, n_2, n_s):
     w_rect = loop_weights(n_1, n_2)
     w_sq = loop_weights(n_s, n_s)
     H = loop_lift(h, n_1, n_2)
+    G_h = loop_lift(h / np.sqrt(w_rect), n_1, n_2)
     G_v = loop_lift(v / np.sqrt(w_sq), n_s, n_s)
+    pair = np.vstack((G_h @ B, G_h.conj().T @ A))  # g_apply_pair's two products, stacked
     return {
         "hankel_corr": (lambda L: hankel_ops.hankel_corr(h, L(B), n_1), H @ B),
         "lift_apply": (lambda L: hankel_ops.lift_operator(h, n_1)[0](L(B)), H @ B),
         "lift_applyH": (lambda L: hankel_ops.lift_operator(h, n_1)[1](L(A)), H.conj().T @ A),
-        "g_apply": (lambda L: hankel_ops.g_apply(h, L(B), n_1),
-                    loop_lift(h / np.sqrt(w_rect), n_1, n_2) @ B),
+        "g_apply": (lambda L: hankel_ops.g_apply(h, L(B), n_1), G_h @ B),
+        "g_apply_pair": (lambda L: np.vstack(hankel_ops.g_apply_pair(h, L(A), L(B))), pair),
         "gstar_gram": (lambda L: hankel_ops.gstar_gram(L(Z)),
                        loop_adjoint(Z @ Z.T) / np.sqrt(w_sq)),
         "gstar_outer": (lambda L: hankel_ops.gstar_outer(L(A), L(B)),
@@ -433,6 +435,12 @@ def _layout_kernels(rng, n_1, n_2, n_s):
             lambda L: hankel_ops.g_apply_times_conj(
                 v, L(Z), z_spectrum=hankel_ops.gstar_gram(L(Z), return_spectrum=True)[1]),
             G_v @ np.conj(Z)),
+        # The stacked spectrum gstar_outer hands on, as the two-factor solver passes it.
+        "g_apply_pair_spectrum": (
+            lambda L: np.vstack(hankel_ops.g_apply_pair(
+                h, L(A), L(B),
+                spectra=hankel_ops.gstar_outer(L(A), np.conj(L(B)), return_spectra=True)[1])),
+            pair),
         "hankel_corr_spectrum": (
             lambda L: hankel_ops.hankel_corr(
                 h, L(B), n_1,
@@ -504,6 +512,9 @@ def test_g_apply_times_conj_refuses_a_v_of_the_wrong_length(rng):
     for n in (40, 42):
         with pytest.raises(ValueError, match="2 n_s - 1 = 41"):
             hankel_ops.g_apply_times_conj(rand_complex(rng, n), Z)
+        # The two-factor pair's lift, 21 x 21, has the same rule.
+        with pytest.raises(ValueError, match="n_1 \\+ n_2 - 1 = 41"):
+            hankel_ops.g_apply_pair(rand_complex(rng, n), Z, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,10 @@ def test_trunc_svd_rejects_an_empty_round_budget(rng, strict):
     with pytest.raises(ValueError, match="max_rounds"):
         lowrank.trunc_svd(apply, applyH, (10, 10), 2, seed=0,
                           max_rounds=0, strict=strict)
+    # So is a rank outside [1, min(dims)].
+    for r in (0, 11):
+        with pytest.raises(ValueError, match="1 <= r <= min"):
+            lowrank.trunc_svd(apply, applyH, (10, 11), r, seed=0, strict=strict)
 
 
 @pytest.mark.parametrize("max_rounds", [1, 2])

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hankel_scs import hankel_ops, metrics
+from hankel_scs import descent, hankel_ops, metrics
 from conftest import rand_complex
 
 
@@ -159,21 +159,26 @@ def test_random_complex_orthogonal_norm_is_exp_scale(rng):
 # Incoherence
 # ---------------------------------------------------------------------------
 
+# descent.estimate_mu is the one incoherence measure: n ||U||_{2,inf}^2 / (2r)
+# of the unit-column basis, floored at 1.
+
 def test_incoherence_spiked_and_flat_subspaces():
     n_s, r, n = 16, 2, 31
     spiked = np.zeros((n_s, r))
     spiked[0, 0] = 1.0
     spiked[1, 1] = 1.0
-    assert metrics.incoherence(spiked, n) == pytest.approx(n / (2 * r))
+    assert descent.estimate_mu(spiked, n, r) == pytest.approx(n / (2 * r))
 
+    # n / (2 n_s) = 31/32 lies below the floor.
     F = np.fft.fft(np.eye(n_s))[:, 1 : r + 1] / np.sqrt(n_s)
-    assert metrics.incoherence(F, n) == pytest.approx(n / (2 * n_s))
+    assert descent.estimate_mu(F, n, r) == 1.0
 
 
-def test_incoherence_rejects_non_orthonormal(rng):
-    U = rand_complex(rng, 16, 2)
-    with pytest.raises(ValueError):
-        metrics.incoherence(U, 31)
+def test_incoherence_ignores_column_scale(rng):
+    U, _ = np.linalg.qr(rand_complex(rng, 16, 2))
+    mu = descent.estimate_mu(U, 31, 2)
+    assert mu > 1.0  # above the floor, so the scale could show
+    assert descent.estimate_mu(U * np.array([3.0, 1e-3]), 31, 2) == pytest.approx(mu, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ def test_pgd_gradients_match_central_finite_differences(rng):
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-def test_pgd_gradients_release_the_spectrum_and_keep_their_bits(rng, dtype):
-    # One correlation consumes the evaluation's stacked spectrum, so the state
-    # lets it go; the gradients have the bits of two separate correlations
+def test_pgd_gradients_consume_the_spectrum_and_keep_their_bits(rng, dtype):
+    # One correlation consumes the evaluation's stacked spectrum, which the
+    # loop then drops; the gradients have the bits of two separate correlations
     # that transform the factors afresh.  A lift above the dense rule, which
     # makes spectra.
     n, r, m = 192, 4, 92
@@ -135,14 +135,16 @@ def test_pgd_gradients_release_the_spectrum_and_keep_their_bits(rng, dtype):
     p = m / n
     counts = hankel_ops.mask_counts(mask).astype(y.real.dtype)
     state = pgd._evaluate_pair((Z_U, Z_V), y, counts, p)
-    _, GU, GV, B = state.aux
+    GU, GV, B = state.aux
     h = hankel_ops.apply_D_inv(state.masked / p - state.g) * 0.5
     want_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
     want_U += hankel_ops.hankel_corr(h, Z_V, n_2)[:n_1]
     want_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
     want_V += np.conj(hankel_ops.hankel_corr(h, np.conj(Z_U), n_2))
+    spectrum = state.spectrum
     got_U, got_V = pgd._gradients_pair(state, p)
-    assert state.aux[0] is None and state.aux[-1] is B
+    assert state.spectrum is spectrum and not spectrum.flags.writeable
+    assert state.aux[-1] is B
     assert np.array_equal(got_U, want_U) and np.array_equal(got_V, want_V)
     if dtype == np.complex128:
         grads = pgd.pgd_grads(pgd.FactorPair(Z_U, Z_V), y, mask, p)

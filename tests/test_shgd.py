@@ -1,5 +1,6 @@
 """Single-factor solver: loss/gradient oracles, projection, and full recovery."""
 
+import dataclasses
 import json
 import math
 
@@ -160,9 +161,9 @@ def test_grad_matches_dense_oracle(rng):
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-def test_gradient_releases_the_spectrum_and_keeps_its_bits(rng, dtype):
-    # The correlation consumes the evaluation's spectrum, so the state lets
-    # it go; the gradient has the bits of kernels that transform Z afresh.
+def test_gradient_consumes_the_spectrum_and_keeps_its_bits(rng, dtype):
+    # The correlation consumes the evaluation's spectrum, which the loop then
+    # drops; the gradient has the bits of kernels that transform Z afresh.
     # A lift above the dense rule, which makes spectra.
     n, r, m = 193, 4, 92
     assert (n + 1) // 2 > hankel_ops.DENSE_ROWS
@@ -172,10 +173,12 @@ def test_gradient_releases_the_spectrum_and_keeps_its_bits(rng, dtype):
     p = m / n
     counts = hankel_ops.mask_counts(mask).astype(y.real.dtype)
     state = shgd._evaluate(Z, y, counts, p)
-    want = descent.right_mul(Z, np.conj(state.aux[1]))
+    (A,) = state.aux
+    want = descent.right_mul(Z, np.conj(A))
     want += hankel_ops.g_apply_times_conj(state.masked / p - state.g, Z)
+    spectrum = state.spectrum
     (got,) = shgd._gradient(state, p)
-    assert state.aux[0] is None
+    assert state.spectrum is spectrum and not spectrum.flags.writeable
     assert np.array_equal(got, want)
     if dtype == np.complex128:
         assert np.array_equal(shgd.grad(Z, y, mask, p), want)
@@ -273,14 +276,22 @@ def test_recover_max_iters_termination(rng):
 
 
 def test_recover_divergence_guard(rng):
+    # eta' 500 ends by the loss passing 1e6 times its initial value; eta'
+    # 1e200 overflows the first candidate's loss, and the solve keeps the
+    # last finite iterate, the initial one.
     _, x, mask, observed = make_instance(63, 3, 40, rng)
-    cfg = descent.SolverConfig(
-        r=3, max_iters=200, step_policy="fixed", eta_prime=500.0, seed=0,
-        mu=math.inf,
-    )
-    res = shgd.recover(observed, mask, cfg)
-    assert res.termination == "diverged"
-    assert np.all(np.isfinite(res.x_hat))
+    for eta_prime in (500.0, 1e200):
+        cfg = descent.SolverConfig(
+            r=3, max_iters=200, step_policy="fixed", eta_prime=eta_prime, seed=0,
+            mu=math.inf,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = shgd.recover(observed, mask, cfg)
+        assert res.termination == "diverged"
+        assert np.all(np.isfinite(res.x_hat))
+    assert res.iters == 1 and not np.isfinite(res.history[0].loss)
+    start = shgd.recover(observed, mask, dataclasses.replace(cfg, max_iters=0))
+    assert np.array_equal(res.x_hat, start.x_hat)
 
 
 def test_backtracking_loss_nonincreasing(rng):
