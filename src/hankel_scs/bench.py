@@ -374,17 +374,6 @@ def run_phase(spec: ExperimentSpec) -> GridResult:
     return _run_grid(spec, (spec.r_values, spec.p_values), trial, row_of, columns)
 
 
-def success_boundary(rows) -> dict:
-    """Per-rank largest-success view: r -> {p: success_rate} from grid rows."""
-    table: dict = {}
-    for row in rows:
-        r = int(row["r"])
-        table.setdefault(r, {})[float(row["p"])] = (
-            int(row["successes"]) / int(row["trials"])
-        )
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Timing: SHGD vs PGD time-to-target
 # ---------------------------------------------------------------------------

@@ -557,20 +557,10 @@ def result_to_dict(result: RecoveryResult) -> dict:
     def _num(v):
         return float(v) if v is not None and math.isfinite(v) else None
 
-    hist = []
-    for rec in result.history:
-        row = {
-            "k": rec.k,
-            "loss": _num(rec.loss),
-            "rel_change": _num(rec.rel_change),
-            "step": _num(rec.step),
-            "ms": _num(rec.ms),
-        }
-        if rec.rel_err is not None:
-            row["rel_err"] = _num(rec.rel_err)
-        if rec.balancing_gap is not None:
-            row["balancing_gap"] = _num(rec.balancing_gap)
-        hist.append(row)
+    # One row per record, from its fields; a field that is None is left out.
+    hist = [{key: v if isinstance(v, int) else _num(v)
+             for key, v in asdict(rec).items() if v is not None}
+            for rec in result.history]
     return {
         "x_hat": [[float(v.real), float(v.imag)] for v in result.x_hat],
         "iters": result.iters,

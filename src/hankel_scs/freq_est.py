@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hankel_ops, lowrank
+from . import lowrank
 
 
 @dataclass
@@ -40,10 +40,7 @@ def esprit(x: np.ndarray, r: int) -> ModeEstimate:
         raise ValueError(f"need at least 2r+1 = {2 * r + 1} samples, got {n}")
     if not np.isfinite(x).all():
         raise ValueError("signal samples must be finite")
-    n_1, _ = hankel_ops.rect_dims(n)
-    U, _, _ = lowrank.lift_svd(
-        x, n_1, r, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12
-    )
+    U, _, _ = lowrank.lift_svd(x, r, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12)
 
     poles = np.linalg.eigvals(_shift_operator(U))
     freqs = np.mod(np.angle(poles) / (2 * np.pi), 1.0)

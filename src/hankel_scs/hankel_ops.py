@@ -46,8 +46,9 @@ arithmetic wrapped in costly per-call dispatch; it then holds the cached
 index arrays of the dense products.  A larger lift is convolved by FFT.
 Either way the logical count is one FFT pass per factor column
 (:class:`OpCounter`).  Every kernel keeps the precision of its input:
-complex64 factors give complex64 results, and the lift operator acts in the
-precision of each block it is given.
+complex64 factors give complex64 results, and a correlation, each action
+of the lift operator included, runs in its block's precision whatever its
+signal's.
 """
 
 from __future__ import annotations
@@ -256,7 +257,9 @@ def hankel_corr(
     cbar_spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
     """Correlation kernel: out[a, l] = sum_i h[a + i] * C[i, l], the product
-    H(h) C with the lift H(h) of n_out rows (at most len(h)).
+    H(h) C with the lift H(h) of n_out rows (at most len(h)).  It computes in
+    C's precision (complex64 at least) on both paths: ``h`` is cast to it on
+    entry.
 
     A lift of at most :data:`DENSE_ROWS` rows and columns is gathered from h
     by its cached index and multiplied by a C of one row per lift column.
@@ -274,8 +277,8 @@ def hankel_corr(
     writing to it, raises ValueError; a caller that needs a spectrum again
     passes a copy.  The dense result is column-major too.
     """
-    h = np.asarray(h)
     C = np.asarray(C)
+    h = np.asarray(h).astype(np.result_type(C.dtype, np.complex64), copy=False)
     single = C.ndim == 1
     if single:
         C = C[:, None]
@@ -283,10 +286,8 @@ def hankel_corr(
         raise ValueError(f"n_out must lie in [1, {h.shape[0]}], got {n_out}")
     lift = _lift(n_out, h.shape[0] - n_out + 1)
     if cbar_spectrum is None and lift.index is not None and C.shape[0] == lift.index.shape[1]:
-        # In C's precision, as the FFT path's product; (C^T H^T)^T keeps the
-        # result column-major, as right_mul does.
-        H = h.astype(np.result_type(C.dtype, np.complex64), copy=False)[lift.index]
-        out = (C.T @ H.T).T
+        # (C^T H^T)^T keeps the result column-major, as right_mul does.
+        out = (C.T @ h[lift.index].T).T
     else:
         out = _corr_fft(h, C, n_out, lift.nfft, cbar_spectrum)
     if counter is not None:
@@ -318,35 +319,14 @@ def lift_operator(u: np.ndarray, n_rows: int):
     """``(apply, applyH, dims)`` of the Hankel lift H(u) with ``n_rows`` rows:
     the block actions V -> H(u) V and U -> H(u)^H U, and (n_rows, n_cols).
 
-    Each action runs in the precision of the block it is given: ``u`` (and,
-    for a dense lift's adjoint, conj(u)) is cast once per precision, so
-    complex64 blocks give complex64 results."""
+    Both are :func:`hankel_corr`: H(u)^H is the n_cols-row lift of conj(u),
+    so the adjoint is the same correlation on the conjugate signal.  Each
+    runs in the precision of the block it is given."""
     n_cols = u.shape[0] - n_rows + 1
-    lift = _lift(n_rows, n_cols)
-    cast = {}
-
-    def u_for(block, conj=False):
-        key = (block.dtype, conj)
-        if key not in cast:
-            dtype = np.result_type(block.dtype, np.complex64)
-            cast[key] = np.conjugate(u, dtype=dtype) if conj else u.astype(dtype, copy=False)
-        return cast[key]
-
-    def apply(V):
-        return hankel_corr(u_for(V), V, n_rows)
-
-    if lift.index is not None:
-        def applyH(U):
-            # H(u)^H is the n_cols-row lift of conj(u).
-            return hankel_corr(u_for(U, conj=True), U, n_cols)
-    else:
-        def applyH(U):
-            # H^H U = conj(H conj(U)); conj(U)'s conj-spectrum is U's spectrum.
-            # The correlation is a view of that spectrum, conjugated in place.
-            out = hankel_corr(u_for(U), U, n_cols, cbar_spectrum=_row_spectra(U, lift.nfft))
-            return np.conjugate(out, out=out)
-
-    return apply, applyH, (n_rows, n_cols)
+    u_bar = np.conj(u)
+    return (lambda V: hankel_corr(u, V, n_rows),
+            lambda U: hankel_corr(u_bar, U, n_cols),
+            (n_rows, n_cols))
 
 
 def _pair_sum(F: np.ndarray, r: int) -> np.ndarray:

@@ -200,15 +200,17 @@ def _check_rank(sig: np.ndarray, r: int, rank_tol: float, what: str):
         )
 
 
-def lift_svd(u: np.ndarray, n_rows: int, r: int, seed, tol: float,
+def lift_svd(u: np.ndarray, r: int, seed, tol: float,
              max_rounds: int, rank_tol: float, dtype=np.complex128):
     """Best-effort rank-r SVD of the rectangular Hankel lift H(u), rank-checked.
 
-    Runs :func:`trunc_svd` non-strictly, with rounds in ``dtype``, on the
-    lift's matrix-free actions and raises :class:`RankDeficiencyError` when
+    The lift has the rows of :func:`hankel_ops.rect_dims`.  Runs
+    :func:`trunc_svd` non-strictly, with rounds in ``dtype``, on the lift's
+    actions from :func:`hankel_ops.lift_operator` (both correlations, the
+    adjoint on conj(u)) and raises :class:`RankDeficiencyError` when
     sigma_r <= rank_tol * sigma_1.
     """
-    apply, applyH, dims = hankel_ops.lift_operator(u, n_rows)
+    apply, applyH, dims = hankel_ops.lift_operator(u, hankel_ops.rect_dims(u.shape[0])[0])
     U, sig, V = trunc_svd(
         apply, applyH, dims, r, seed=seed,
         tol=tol, max_rounds=max_rounds, strict=False, dtype=dtype,

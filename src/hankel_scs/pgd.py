@@ -51,14 +51,6 @@ class FactorPair:
         self.Z_U = Z_U
         self.Z_V = Z_V
 
-    @property
-    def r(self) -> int:
-        return self.Z_U.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.Z_U.shape[0] + self.Z_V.shape[0] - 1
-
 
 def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     Z_U, Z_V = Zs
@@ -118,12 +110,10 @@ def rect_spectral_init(
     (exactly balanced), in complex128 whatever ``dtype``, the precision of
     the subspace rounds (see :func:`hankel_scs.lowrank.trunc_svd`).
     """
-    n = observed_y.shape[0]
-    n_1, _ = rect_dims(n)
-    p_hat = mask.m / n
+    p_hat = mask.m / observed_y.shape[0]
     u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask)) / p_hat
     U, sig, V = lowrank.lift_svd(
-        u, n_1, r, seed=seed, tol=lowrank.INIT_TOL,
+        u, r, seed=seed, tol=lowrank.INIT_TOL,
         max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14, dtype=dtype,
     )
     root = np.sqrt(sig)[None, :]

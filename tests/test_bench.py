@@ -211,18 +211,6 @@ def test_phase_grid_row_order_and_determinism():
     assert stable(a.rows) == stable(b.rows)
 
 
-def test_success_boundary_table():
-    rows = [
-        dict(r=1, p=0.1, successes=20, trials=20),
-        dict(r=1, p=0.2, successes=18, trials=20),
-        dict(r=2, p=0.1, successes=3, trials=20),
-    ]
-    table = bench.success_boundary(rows)
-    assert table[1][0.1] == 1.0
-    assert table[1][0.2] == pytest.approx(0.9)
-    assert table[2][0.1] == pytest.approx(0.15)
-
-
 # ---------------------------------------------------------------------------
 # Noise sweep: fully deterministic CSV bytes
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def _models():
 @pytest.mark.parametrize("model", _models(), ids=["undamped", "damped"])
 def test_rank_one_shift_solve_matches_the_pseudoinverse(model):
     x = signal_model.synthesize(model)
-    n_1, _ = hankel_ops.rect_dims(x.shape[0])
-    U, _, _ = lowrank.lift_svd(x, n_1, 4, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12)
+    U, _, _ = lowrank.lift_svd(x, 4, seed=0, tol=1e-10, max_rounds=60, rank_tol=1e-12)
     want = np.linalg.pinv(U[:-1]) @ U[1:]
     assert np.abs(freq_est._shift_operator(U) - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -192,17 +191,18 @@ def test_vandermonde_column_of_a_zero_pole_is_the_first_unit_vector():
 def test_esprit_applies_the_lift_twice_and_its_adjoint_twice(monkeypatch):
     # The lift of an exactly rank-r signal is captured by one power round:
     # the range finder's apply, one round's applyH and apply, then the
-    # convergence test's applyH.  On a lift above the dense rule, the adjoint
-    # hands hankel_corr its block's spectrum; the forward action does not.
+    # convergence test's applyH.  On a lift above the dense rule, both are
+    # correlations: the lift's on x, its adjoint's on conj(x).
     model = signal_model.random_model(201, 4, rng=np.random.default_rng(2), min_sep=0.03)
     assert (201 + 1) // 2 > hankel_ops.DENSE_ROWS
     x = signal_model.synthesize(model)
     calls = []
     hankel_corr = hankel_ops.hankel_corr
 
-    def recording(*args, **kwargs):
-        calls.append("applyH" if kwargs.get("cbar_spectrum") is not None else "apply")
-        return hankel_corr(*args, **kwargs)
+    def recording(h, *args, **kwargs):
+        signal = {"apply": x, "applyH": np.conj(x)}
+        calls.extend(name for name, s in signal.items() if np.array_equal(h, s))
+        return hankel_corr(h, *args, **kwargs)
 
     monkeypatch.setattr(hankel_ops, "hankel_corr", recording)
     est = freq_est.esprit(x, 4)

@@ -641,10 +641,16 @@ def _single_precision_cases(rng):
     Z = rand_complex(rng, n_s, r)
     W = rand_complex(rng, n_s + 20, r)
     v = rand_complex(rng, n)
+    small = rand_complex(rng, 2 * 40 - 1)
+    assert 40 <= hankel_ops.DENSE_ROWS < n_s
     return {
         "gstar_gram": lambda c: hankel_ops.gstar_gram(c(Z)),
         "gstar_outer": lambda c: hankel_ops.gstar_outer(c(Z), c(W)),
         "hankel_corr": lambda c: hankel_ops.hankel_corr(c(v), c(Z), n_s),
+        # A complex128 signal correlates in the block's precision, by FFT
+        # and densely.
+        "hankel_corr_double_signal": lambda c: hankel_ops.hankel_corr(v, c(Z), n_s),
+        "hankel_corr_double_signal_dense": lambda c: hankel_ops.hankel_corr(small, c(Z[:40]), 40),
         "g_apply_times_conj": lambda c: hankel_ops.g_apply_times_conj(c(v), c(Z)),
         "apply_D": lambda c: hankel_ops.apply_D(c(v)),
         "apply_D_inv": lambda c: hankel_ops.apply_D_inv(c(v)),
@@ -652,7 +658,8 @@ def _single_precision_cases(rng):
 
 
 @pytest.mark.parametrize("kernel", [
-    "gstar_gram", "gstar_outer", "hankel_corr", "g_apply_times_conj", "apply_D", "apply_D_inv",
+    "gstar_gram", "gstar_outer", "hankel_corr", "hankel_corr_double_signal",
+    "hankel_corr_double_signal_dense", "g_apply_times_conj", "apply_D", "apply_D_inv",
 ])
 def test_kernels_keep_single_precision(rng, kernel):
     run = _single_precision_cases(rng)[kernel]
@@ -663,29 +670,26 @@ def test_kernels_keep_single_precision(rng, kernel):
     assert rel(single, double) <= 2e-6
 
 
-def test_lift_operator_acts_in_the_precision_of_its_block(rng, monkeypatch):
-    # A lift above the dense rule, whose adjoint correlates against U's
-    # spectrum: one cast of u per precision serves both actions.
-    u = rand_complex(rng, 183)
-    apply, applyH, (n_rows, n_cols) = hankel_ops.lift_operator(u, 100)
-    assert n_rows > hankel_ops.DENSE_ROWS
+@pytest.mark.parametrize("n, n_rows, dense", [(75, 40, True), (183, 100, False)],
+                         ids=["dense", "fft"])
+def test_lift_operator_acts_in_the_precision_of_its_block(rng, n, n_rows, dense):
+    # Both actions are correlations: the lift's on u and its adjoint's, the
+    # n_cols-row lift, on conj(u); each runs in its block's precision.
+    u = rand_complex(rng, n)
+    apply, applyH, (n_rows, n_cols) = hankel_ops.lift_operator(u, n_rows)
+    assert (max(n_rows, n_cols) <= hankel_ops.DENSE_ROWS) == dense
     V = rand_complex(rng, n_cols, 3)
     U = rand_complex(rng, n_rows, 3)
-    M = hankel_ops.lift_dense(u, n_rows=100)
-    # Double-precision blocks take the kernel's path unchanged.
+    M = hankel_ops.lift_dense(u, n_rows=n_rows)
     assert np.array_equal(apply(V), hankel_ops.hankel_corr(u, V, n_rows))
-    signals = []
-    hankel_corr = hankel_ops.hankel_corr
-
-    def recording(h, C, *args, **kwargs):
-        signals.append(h)
-        return hankel_corr(h, C, *args, **kwargs)
-
-    monkeypatch.setattr(hankel_ops, "hankel_corr", recording)
-    for act, block, want in ((apply, V, M @ V), (applyH, U, M.conj().T @ U)):
-        single = act(block.astype(np.complex64))
-        assert single.dtype == signals[-1].dtype == np.complex64
+    assert np.array_equal(applyH(U), hankel_ops.hankel_corr(np.conj(u), U, n_cols))
+    for act, block, want, signal, rows in ((apply, V, M @ V, u, n_rows),
+                                           (applyH, U, M.conj().T @ U, np.conj(u), n_cols)):
+        block64 = block.astype(np.complex64)
+        single = act(block64)
+        assert single.dtype == np.complex64
         assert rel(single, want) <= 1e-5
-        assert act(block).dtype == signals[-1].dtype == np.complex128
-    # u is cast once per precision, not once per product.
-    assert len({id(h) for h in signals}) == 2
+        # The whole product runs in complex64: the bits of a complex64 signal's.
+        signal64 = signal.astype(np.complex64)
+        assert np.array_equal(single, hankel_ops.hankel_corr(signal64, block64, rows))
+        assert act(block).dtype == np.complex128

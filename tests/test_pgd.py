@@ -49,9 +49,6 @@ def test_factor_pair_validation(rng):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         pgd.FactorPair(bad, np.ones((5, 2), dtype=complex))
-    pair = random_pair(rng, 11, 2)
-    assert pair.r == 2
-    assert pair.n == 11
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,7 @@ def test_result_json_contract(tmp_path, rng):
     first = doc["history"][0]
     assert {"k", "loss", "rel_change", "step", "ms"} <= set(first.keys())
     assert "rel_err" in first  # x_true instrumentation was on
+    assert first["fft_passes"] == res.history[0].fft_passes
     x_back = np.array([re + 1j * im for re, im in doc["x_hat"]])
     assert rel(x_back, res.x_hat) <= 1e-15
 
