@@ -58,7 +58,7 @@ class ExperimentSpec:
     Settings are checked here, before any trial is solved: the seed, n,
     ranks, sample counts, trials and reps must be integers
     (:func:`descent.as_int`), all but the seed at least 1, a rank must fit
-    the signal length (:func:`descent.check_rank`), sample counts may not exceed n,
+    the signal length (:func:`hankel_ops.check_rank`), sample counts may not exceed n,
     sampling ratios lie in (0, 1], noise levels are finite and non-negative,
     axes are not empty, and the solver must exist.
     """
@@ -114,7 +114,7 @@ class ExperimentSpec:
         for r in self.r_values if self.kind == "phase" else (self.r,):
             if r < 1:
                 raise ValueError(f"ranks must be >= 1, got {r}")
-            descent.check_rank(n, r)
+            hankel_ops.check_rank(n, r)
         if self.solver is not None and self.solver not in _SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         for p in self.p_values or ():
@@ -676,10 +676,13 @@ def _selftest_checks():
             worst = max(worst, float(np.linalg.norm(back - u) / np.linalg.norm(u)))
         return worst < 1e-12, f"max rel defect {worst:.2e}"
 
+    # One length lifts above DENSE_ROWS, so the FFT kernels are checked too.
+    fft_n = 2 * hankel_ops.DENSE_ROWS + 41
+
     def fft_vs_dense():
         worst = 0.0
-        for n in (19, 45, 101):
-            n_s = (n + 1) // 2
+        for n in (19, 45, 101, fft_n):
+            n_s = hankel_ops.rect_dims(n)[0]
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             B = rng.standard_normal((n_s, 3)) + 1j * rng.standard_normal((n_s, 3))
             dense = hankel_ops.lift_dense(c) @ B
@@ -691,8 +694,8 @@ def _selftest_checks():
 
     def gram_adjoint_vs_dense():
         worst = 0.0
-        for n in (19, 63):
-            n_s = (n + 1) // 2
+        for n in (19, 63, fft_n):
+            n_s = hankel_ops.rect_dims(n)[0]
             Z = rng.standard_normal((n_s, 3)) + 1j * rng.standard_normal((n_s, 3))
             dense = hankel_ops.apply_D_inv(
                 hankel_ops.hankel_adjoint_dense(Z @ Z.T)
@@ -723,8 +726,8 @@ def _selftest_checks():
         x = signal_model.synthesize(model)
         mask = signal_model.uniform_mask(n, 20, rng=rng)
         y = hankel_ops.apply_D(signal_model.observe(x, mask, rng=rng))
-        p = mask.m / n
-        n_s = (n + 1) // 2
+        p = mask.p
+        n_s = hankel_ops.rect_dims(n)[0]
         Z = rng.standard_normal((n_s, r)) + 1j * rng.standard_normal((n_s, r))
         G = shgd.grad(Z, y, mask, p)
         delta = rng.standard_normal(Z.shape) + 1j * rng.standard_normal(Z.shape)
@@ -743,7 +746,7 @@ def _selftest_checks():
         mask = signal_model.uniform_mask(n, 20, rng=rng)
         n_1, n_2 = hankel_ops.rect_dims(n)
         y = hankel_ops.apply_D(signal_model.observe(x, mask, rng=rng), n_rows=n_1)
-        p = mask.m / n
+        p = mask.p
         Z_U = rng.standard_normal((n_1, r)) + 1j * rng.standard_normal((n_1, r))
         Z_V = rng.standard_normal((n_2, r)) + 1j * rng.standard_normal((n_2, r))
         pair = pgd.FactorPair(Z_U, Z_V)
@@ -760,13 +763,13 @@ def _selftest_checks():
 
     def loss_dense_oracle():
         n, r = 21, 2
-        n_s = (n + 1) // 2
+        n_s = hankel_ops.rect_dims(n)[0]
         model = signal_model.random_model(n, r, rng=rng)
         x = signal_model.synthesize(model)
         mask = signal_model.uniform_mask(n, 14, rng=rng)
         observed = signal_model.observe(x, mask, rng=rng)
         y = hankel_ops.apply_D(observed)
-        p = mask.m / n
+        p = mask.p
         Z = rng.standard_normal((n_s, r)) + 1j * rng.standard_normal((n_s, r))
         fast = shgd.loss(Z, y, mask, p)
         M = Z @ Z.T

@@ -15,8 +15,9 @@ Every flag a subcommand takes is read, and each setting has one way in.
 ``seed``, which ``--rank`` and ``--seed`` set.  The experiment subcommands
 (phase, timing, scaling, noise) are the kinds in ``bench.EXPERIMENTS``, and
 their ``--config`` sets ``bench.ExperimentSpec`` fields but ``kind`` and
-``seed``.  A refused config or spec, or a rank the signal length cannot
-hold, is a usage error.  Trials run serially.
+``seed``.  A refused config or spec, a rank the signal length cannot hold,
+or ``gen`` settings its draws refuse (such as ``--m`` above ``--n``) is a
+usage error and writes no file.  Trials run serially.
 
 Exit codes: 0 success, 1 usage error, 2 solver failure, 3 selftest failure.
 Any other error is a bug and ends the command with its traceback.
@@ -30,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import bench, descent, pgd, shgd, signal_model
+from . import bench, descent, hankel_ops, pgd, shgd, signal_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,12 +120,15 @@ def build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     m = args.m if args.m is not None else max(1, round(0.6 * args.n))
-    model = signal_model.random_model(
-        args.n, args.rank, rng=rng, min_sep=args.min_sep, damped=args.damped
-    )
-    x = signal_model.synthesize(model)
-    mask = signal_model.uniform_mask(args.n, m, rng=rng)
-    observed = signal_model.observe(x, mask, sigma_e=args.sigma_e, rng=rng)
+    try:
+        model = signal_model.random_model(
+            args.n, args.rank, rng=rng, min_sep=args.min_sep, damped=args.damped
+        )
+        x = signal_model.synthesize(model)
+        mask = signal_model.uniform_mask(args.n, m, rng=rng)
+        observed = signal_model.observe(x, mask, sigma_e=args.sigma_e, rng=rng)
+    except ValueError as exc:  # SeparationError included
+        raise UsageError(f"bad gen settings: {exc}") from exc
     out = args.out or "signal.ssig.json"
     signal_model.save_ssig(out, observed, mask)
     signal_model.save_smodel(out + ".model.json", model)
@@ -143,7 +147,7 @@ def _cmd_recover(args) -> int:
         return EXIT_USAGE
     try:
         config = bench.solver_config(args.rank, args.seed, _load_config(args.config))
-        descent.check_rank(mask.n, config.r)
+        hankel_ops.check_rank(mask.n, config.r)
     except ValueError as exc:
         print(f"bad solver configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -250,19 +250,22 @@ def fixed_step(sigma1_M0: float, eta_prime: float) -> float:
     return eta_prime / sigma1_M0
 
 
-def right_mul(Z: np.ndarray, M: np.ndarray) -> np.ndarray:
+def right_mul(Z: np.ndarray, M: np.ndarray, counter=None) -> np.ndarray:
     """The n x r by r x r product Z M, column-major when ``Z`` is.
 
     :func:`descend` holds the factors column-major, the layout the Hankel
     kernels transform without a strided copy.  ``Z @ M`` would come back
     row-major, and every sum with a kernel result, the update and
     :func:`project_C` would then run strided; ``(M^T Z^T)^T`` keeps the
-    factor's layout.  Both gradients take their n x r^2 products here.
+    factor's layout.  Both gradients take their n x r^2 products here, and
+    each adds its rows * r^2 to ``counter.gram_flops``.
     """
+    if counter is not None:
+        counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
     return (M.T @ Z.T).T
 
 
-def gram(Z: np.ndarray) -> np.ndarray:
+def gram(Z: np.ndarray, counter=None) -> np.ndarray:
     """The r x r Hermitian gram Z^H Z of an n x r factor.
 
     From rows * r^2 = :data:`HERK_FROM` on, BLAS herk forms the upper
@@ -270,8 +273,11 @@ def gram(Z: np.ndarray) -> np.ndarray:
     Hermitian bit for bit with a real diagonal.  Below it, the general
     product ``Z.conj().T @ Z``, whose triangles may differ in the last bit.
     Both agree with the exact gram to rounding; any layout is accepted.
+    Each gram adds its rows * r^2 to ``counter.gram_flops``.
     """
     rows, r = Z.shape
+    if counter is not None:
+        counter.add_flops(rows * r * r)
     if rows * r * r < HERK_FROM:
         return Z.conj().T @ Z
     herk = blas.get_blas_funcs("herk", (Z,))
@@ -331,24 +337,17 @@ def data_scale(observed: np.ndarray) -> float:
     return math.ldexp(1.0, 2 * half_exp)
 
 
-def check_rank(n: int, r: int) -> None:
-    """The one rank rule: a length-n signal holds at most (n + 1) // 2 modes,
-    the row count of its square Hankel lift, so n >= 2r - 1."""
-    if n < 2 * r - 1:
-        raise ValueError(f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, got n={n}")
-
-
 def check_inputs(observed, mask: SamplingMask, r: int, x_true=None):
     """Validate a solver's inputs and normalize them.
 
     Returns (observed / S, truth / S, S) with complex arrays and S from
     :func:`data_scale`; truth is None when ``x_true`` is.  The rank is
-    checked against the caller's signal length (:func:`check_rank`).
+    checked against the caller's signal length (:func:`hankel_ops.check_rank`).
     """
     observed = np.asarray(observed, dtype=complex)
     if observed.shape[0] != mask.n:
         raise ValueError("observation length and mask ambient length differ")
-    check_rank(mask.n, r)
+    hankel_ops.check_rank(mask.n, r)
     if not np.isfinite(observed).all():
         raise ValueError("observed samples must be finite")
     scale = data_scale(observed)
@@ -453,8 +452,9 @@ def descend(
     for k in range(config.max_iters):
         t0 = time.perf_counter()
         passes0 = counter.fft_passes
-        if len(phase_counts) > 1 or state.Zs[0].dtype != dtype:
-            # A new split part, or the first double-precision iteration.
+        if (k and len(phase_counts) > 1) or state.Zs[0].dtype != dtype:
+            # A new split part, or the first double-precision iteration;
+            # iteration 0 runs on the part evaluated above.
             counts, p = phase_counts[k % len(phase_counts)]
             Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in state.Zs)
             state = evaluate(Zs, y, counts, p, counter)

@@ -35,7 +35,9 @@ C-ordered block only costs a strided copy into the buffer.
 
 Geometry.  The one row rule is :func:`rect_dims`: a length-n signal lifts
 to n_1 = (n + 1) // 2 rows and n_2 = n + 1 - n_1 columns, the square lift for
-odd n, and both solvers use it; the D maps default ``n_rows`` to it.  Other
+odd n, and both solvers use it; the D maps default ``n_rows`` to it.  The
+one rank rule, :func:`check_rank`, sits beside it: a length-n signal holds
+at most n_1 modes, and every boundary refuses a larger rank there.  Other
 rectangular lifts (n_rows + n_cols - 1 = n) are accepted throughout for the
 tests and the dense oracles.  Each lift shape has one cached geometry record
 (:func:`_lift`): its FFT length and its read-only skew-diagonal weights,
@@ -67,7 +69,9 @@ _PAIR_BLOCK_BYTES = 1 << 18  # G*'s row products are formed this many bytes at a
 @dataclass
 class OpCounter:
     """Instruments solver kernels: FFT convolution passes (one pass = one
-    factor column) and gram-type flops in units of rows x r^2 products."""
+    factor column), which the kernels add, and gram-type flops in units of
+    rows x r^2 products, which ``descent.gram`` and ``descent.right_mul``
+    add: each count is taken where its work is done."""
 
     fft_passes: int = 0
     gram_flops: int = 0
@@ -86,6 +90,13 @@ def rect_dims(n: int) -> tuple[int, int]:
         raise ValueError("signal length must be >= 1")
     n_1 = (n + 1) // 2
     return n_1, n + 1 - n_1
+
+
+def check_rank(n: int, r: int) -> None:
+    """The one rank rule: a length-n signal holds at most ``rect_dims(n)[0]``
+    modes, the row count of its lift, so n >= 2r - 1."""
+    if r > rect_dims(n)[0]:
+        raise ValueError(f"rank {r} needs signal length n >= 2r-1 = {2 * r - 1}, got n={n}")
 
 
 # A lift with at most DENSE_ROWS rows and columns is multiplied densely, a
@@ -384,9 +395,13 @@ def gstar_outer(
     (2 cols x nfft) block of rows, A's over B's (A's alone when ``B is A``):
     the conj-spectrum of the columns of [conj(A), conj(B)], so one
     :func:`hankel_corr` correlates against both (and consumes the block).
-    A dense lift makes no spectrum and gives None in its place.
+    A dense lift makes no spectrum and gives None in its place.  A and B
+    must have the same column count.
     """
-    out, F = _gstar_conv(np.asarray(A), np.asarray(B), counter)
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"A has {A.shape[1]} columns but B has {B.shape[1]}")
+    out, F = _gstar_conv(A, B, counter)
     return (out, F) if return_spectra else out
 
 

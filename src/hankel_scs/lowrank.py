@@ -297,10 +297,10 @@ def spectral_init(observed: np.ndarray, mask, r: int, seed=None, dtype=np.comple
     n_s, n_cols = hankel_ops.rect_dims(n)
     if n_cols != n_s:
         raise ValueError(f"square Hankel lift needs odd length, got n={n}")
-    if not 1 <= r <= n_s:
-        raise ValueError(f"need 1 <= r <= n_s={n_s}, got r={r}")
-    p_hat = mask.m / n
-    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed, mask)) / p_hat
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    hankel_ops.check_rank(n, r)
+    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed, mask)) / mask.p
     apply, _, _ = hankel_ops.lift_operator(u, n_s)
     factor = takagi_truncated(apply, n_s, r, seed=seed, tol=INIT_TOL,
                               max_rounds=INIT_MAX_ROUNDS, strict=False, dtype=dtype)

@@ -55,10 +55,8 @@ class FactorPair:
 def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     Z_U, Z_V = Zs
     g, F = hankel_ops.gstar_outer(Z_U, np.conj(Z_V), counter=counter, return_spectra=True)
-    GU = descent.gram(Z_U)
-    GV = descent.gram(Z_V)
-    if counter is not None:
-        counter.add_flops((Z_U.shape[0] + Z_V.shape[0]) * Z_U.shape[1] ** 2)
+    GU = descent.gram(Z_U, counter)
+    GV = descent.gram(Z_V, counter)
     B = GU - GV
     # ||Z_U Z_V^H||_F^2 = trace(GU GV), real since both grams are Hermitian.
     m_norm2 = float(np.real(np.vdot(GV, GU)))
@@ -74,11 +72,9 @@ def _gradients_pair(state: descent.State, p, counter=None):
     w = state.masked / p - state.g
     w *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
     gw_U, gw_V = hankel_ops.g_apply_pair(w, Z_U, Z_V, counter=counter, spectra=state.spectrum)
-    if counter is not None:
-        counter.add_flops((Z_U.shape[0] + Z_V.shape[0]) * Z_U.shape[1] ** 2)
-    grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
+    grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B, counter)
     grad_U += gw_U
-    grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
+    grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B, counter)
     grad_V += gw_V
     return grad_U, grad_V
 
@@ -110,8 +106,7 @@ def rect_spectral_init(
     (exactly balanced), in complex128 whatever ``dtype``, the precision of
     the subspace rounds (see :func:`hankel_scs.lowrank.trunc_svd`).
     """
-    p_hat = mask.m / observed_y.shape[0]
-    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask)) / p_hat
+    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(observed_y, mask)) / mask.p
     U, sig, V = lowrank.lift_svd(
         u, r, seed=seed, tol=lowrank.INIT_TOL,
         max_rounds=lowrank.INIT_MAX_ROUNDS, rank_tol=1e-14, dtype=dtype,

@@ -50,9 +50,7 @@ def _pad_odd(observed: np.ndarray, mask: SamplingMask):
 def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
     """Loss pieces at Z sharing one r-pass convolution."""
     g, FZ = hankel_ops.gstar_gram(Z, counter=counter, return_spectrum=True)
-    A = descent.gram(Z)
-    if counter is not None:
-        counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
+    A = descent.gram(Z, counter)
     m_norm2 = float(np.real((A * A).sum()))  # ||Z Z^T||_F^2 via the gram
     return descent.make_state((Z,), g, m_norm2, y_obs, counts, p, spectrum=FZ, aux=(A,))
 
@@ -62,9 +60,7 @@ def _gradient(state: descent.State, p, counter=None):
     (Z,) = state.Zs
     w = state.masked / p - state.g
     gw = hankel_ops.g_apply_times_conj(w, Z, counter=counter, z_spectrum=state.spectrum)
-    if counter is not None:
-        counter.add_flops(Z.shape[0] * Z.shape[1] ** 2)
-    grad_Z = descent.right_mul(Z, np.conj(A))
+    grad_Z = descent.right_mul(Z, np.conj(A), counter)
     grad_Z += gw
     return (grad_Z,)
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hankel_ops
+
 
 class SeparationError(ValueError):
     """Raised when separated frequencies cannot be drawn in the retry budget."""
@@ -68,11 +70,7 @@ class SpectralModel:
             raise ValueError("amplitudes must be nonzero")
         if len(np.unique(self.freqs)) != r:
             raise ValueError("frequencies must be pairwise distinct")
-        if r > (self.n + 1) // 2:
-            raise ValueError(
-                f"r={r} exceeds floor((n+1)/2)={(self.n + 1) // 2}; "
-                "the lifted Hankel matrix cannot have that rank"
-            )
+        hankel_ops.check_rank(self.n, r)
 
     @property
     def r(self) -> int:
@@ -150,8 +148,7 @@ def random_model(
     d_k = (1 + 10^{0.5 c_k}) e^{-i phi_k} with c_k ~ U[0,1), phi_k ~ U[0,2pi).
     Dampings are zero unless ``damped``, then uniform on ``damping_range``.
     """
-    if n < 2 * r - 1:
-        raise ValueError(f"need n >= 2r-1, got n={n}, r={r}")
+    hankel_ops.check_rank(n, r)
     if min_sep is not None and r * min_sep >= 1:
         raise SeparationError(
             f"r*min_sep = {r * min_sep:.3g} >= 1: {r} frequencies with "

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankel_scs import bench, cli, descent, pgd, shgd, signal_model
+from hankel_scs import bench, cli, descent, hankel_ops, pgd, shgd, signal_model
 
 TINY_PHASE = dict(
     n=31, r_values=(1, 2), p_values=(0.5, 0.9), trials=2,
@@ -357,7 +357,16 @@ def test_adjoint_residual_negative_control():
     assert bench._adjoint_residual(41, rng, weights=w) > 1e-6
 
 
-def test_selftest_passes_quickly(capsys):
+def test_selftest_passes_quickly(capsys, monkeypatch):
+    transforms = []
+    row_spectra = hankel_ops._row_spectra
+
+    def recording(*args, **kwargs):
+        transforms.append(args[0].shape)
+        return row_spectra(*args, **kwargs)
+
+    # The checks include lifts above DENSE_ROWS, so the FFT kernels run too.
+    monkeypatch.setattr(hankel_ops, "_row_spectra", recording)
     t0 = time.perf_counter()
     ok = bench.run_selftest()
     elapsed = time.perf_counter() - t0
@@ -369,6 +378,7 @@ def test_selftest_passes_quickly(capsys):
     checks = lines[:-1]
     assert len(checks) == len(bench._selftest_checks())
     assert all(ln.startswith("PASS  ") for ln in checks)
+    assert transforms
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +435,7 @@ def test_cli_recover_pgd_solver(tmp_path):
     assert all("balancing_gap" in rec for rec in doc["history"])
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     # missing input file is caught, not raised
     assert cli.main(["recover", "--input", str(tmp_path / "nope.json"),
                      "--rank", "2"]) == 1
@@ -439,6 +449,14 @@ def test_cli_usage_errors(tmp_path):
         cli.main(["recover", "--input", "x", "--rank", "2",
                   "--solver", "bogus"])
     assert exc.value.code == 1
+    # gen settings its draws refuse end with a message, not a traceback,
+    # and write nothing
+    out = tmp_path / "gen.ssig.json"
+    for flags in (["--n", "10", "--rank", "8"], ["--n", "10", "--m", "20"],
+                  ["--rank", "3", "--min-sep", "0.5"]):
+        assert cli.main(["gen", *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "bad gen settings" in capsys.readouterr().err
 
 
 def test_cli_recover_rejects_nonfinite_samples(tmp_path):

@@ -52,10 +52,10 @@ def test_solvers_reject_a_rank_the_signal_length_cannot_hold(solve, n):
 
 
 def test_check_rank_accepts_the_largest_rank_that_fits():
-    descent.check_rank(61, 31)
-    descent.check_rank(1, 1)
+    hankel_ops.check_rank(61, 31)
+    hankel_ops.check_rank(1, 1)
     with pytest.raises(ValueError, match=r"rank 31 needs signal length n >= 2r-1 = 61, got n=60"):
-        descent.check_rank(60, 31)
+        hankel_ops.check_rank(60, 31)
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
@@ -87,6 +87,22 @@ def test_recorded_armijo_step_is_the_last_step_tried(monkeypatch, max_halvings):
     assert rec.fft_passes == 3 * (max_halvings + 2)
     eta0 = descent.fixed_step(result.sigma1_M0, config.eta_prime)
     assert rec.step == pytest.approx(eta0 * config.beta ** max_halvings, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve, passes, gram_flops", [
+    (shgd.recover, [6, 9, 9, 9, 9], 4320),
+    (pgd.pgd_recover, [9, 12, 12, 12, 12], 8640),
+])
+def test_a_split_solve_evaluates_its_first_iterate_once(solve, passes, gram_flops):
+    # With K >= 1 each iteration after the first evaluates its iterate again
+    # on its own part; iteration 0 runs on the part the init's evaluation
+    # used, so it pays the gradient and the candidate only (2r, PGD 3r).
+    _, x, mask, observed = make_instance(63, 3, 40, 0)
+    config = descent.SolverConfig(r=3, K=3, step_policy="fixed", max_iters=5,
+                                  rel_change_tol=1e-300, seed=0)
+    result = solve(observed, mask, config)
+    assert [rec.fft_passes for rec in result.history] == passes
+    assert result.counter.gram_flops == gram_flops
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
@@ -211,9 +227,9 @@ def test_solves_above_the_herk_threshold_keep_layout_and_scale(monkeypatch, solv
     shapes = []
     gram = descent.gram
 
-    def recording(Z):
+    def recording(Z, *args):
         shapes.append(Z.shape)
-        return gram(Z)
+        return gram(Z, *args)
 
     monkeypatch.setattr(descent, "gram", recording)
     _, x, mask, observed = make_instance(2047, 32, 800, 0)

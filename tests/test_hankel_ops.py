@@ -517,6 +517,15 @@ def test_g_apply_times_conj_refuses_a_v_of_the_wrong_length(rng):
             hankel_ops.g_apply_pair(rand_complex(rng, n), Z, Z)
 
 
+@pytest.mark.parametrize("rows", [(30, 25), (100, 95)], ids=["dense", "fft"])
+def test_gstar_outer_refuses_factors_of_different_widths(rng, rows):
+    # On the FFT path a narrower A would pair its columns with the wrong rows
+    # of the stacked spectrum and return a vector with no error.
+    A, B = rand_complex(rng, rows[0], 3), rand_complex(rng, rows[1], 5)
+    with pytest.raises(ValueError, match="A has 3 columns but B has 5"):
+        hankel_ops.gstar_outer(A, B)
+
+
 # ---------------------------------------------------------------------------
 # Vandermonde decomposition and rank of model lifts
 # ---------------------------------------------------------------------------
