@@ -11,8 +11,8 @@ lift; a small lift is multiplied densely instead (see Geometry).  Each
 solver's gradient pairs a G* kernel with a correlation kernel, the first
 handing its factors' spectra to the second: :func:`gstar_gram` to
 :func:`g_apply_times_conj` (symmetric, G(v) conj(Z)), and :func:`gstar_outer`
-of (Z_U, conj(Z_V)) to :func:`g_apply_pair` (two-factor, G(v) Z_V and
-G(v)^H Z_U).  The dense test oracles (:func:`lift_dense`,
+of (Z_U, W) to :func:`g_apply_pair` (two-factor, G(v) conj(W) and
+G(v)^T conj(Z_U)).  The dense test oracles (:func:`lift_dense`,
 :func:`hankel_adjoint_dense`) stay the tests' references for both paths.
 
 Layout.  Each kernel pads a block's columns as the rows of a C-ordered
@@ -393,10 +393,10 @@ def gstar_outer(
     :data:`DENSE_ROWS` rows and columns, the skew-diagonal sums of A B^T.
     With ``return_spectra`` the padded column FFTs come back too, as one
     (2 cols x nfft) block of rows, A's over B's (A's alone when ``B is A``):
-    the conj-spectrum of the columns of [conj(A), conj(B)], so one
-    :func:`hankel_corr` correlates against both (and consumes the block).
-    A dense lift makes no spectrum and gives None in its place.  A and B
-    must have the same column count.
+    the conj-spectra of conj(A) and conj(B), against which each half lets
+    a :func:`hankel_corr` correlate (:func:`g_apply_pair`).  A dense lift
+    makes no spectrum and gives None in its place.  A and B must have the
+    same column count.
     """
     A, B = np.asarray(A), np.asarray(B)
     if A.shape[1] != B.shape[1]:
@@ -433,6 +433,13 @@ def g_apply(
     return hankel_corr(u, C, n_rows, counter=counter)
 
 
+def _times_conj(u, Z, n_out, counter, spectrum):
+    """H(u) conj(Z) with the ``n_out``-row lift of u, consuming ``spectrum``,
+    Z's FFT rows from a G* kernel, or else correlating conj(Z) afresh."""
+    C = Z if spectrum is not None else np.conj(Z)
+    return hankel_corr(u, C, n_out, counter=counter, cbar_spectrum=spectrum)
+
+
 def g_apply_times_conj(
     v: np.ndarray,
     Z: np.ndarray,
@@ -443,43 +450,36 @@ def g_apply_times_conj(
 
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]), for ``v`` of length
     2 n_s - 1.  ``z_spectrum``, Z's (r x nfft) FFT rows from
-    :func:`gstar_gram`, is the conj-spectrum of conj(Z): :func:`hankel_corr`
-    consumes it, and the result is a view of it.  Without it, conj(Z) is
-    correlated afresh, densely for a small lift.
+    :func:`gstar_gram`, is consumed, and the result is a view of it.
+    Without it, conj(Z) is correlated afresh, densely for a small lift.
     """
     v = np.asarray(v)
     n_s = Z.shape[0]
     if v.shape[0] != 2 * n_s - 1:
         raise ValueError(f"v must have length 2 n_s - 1 = {2 * n_s - 1}, got {v.shape[0]}")
-    u = apply_D_inv(v)
-    C = Z if z_spectrum is not None else np.conj(Z)
-    return hankel_corr(u, C, n_s, counter=counter, cbar_spectrum=z_spectrum)
+    return _times_conj(apply_D_inv(v), Z, n_s, counter, z_spectrum)
 
 
-def g_apply_pair(v: np.ndarray, Z_U: np.ndarray, Z_V: np.ndarray,
+def g_apply_pair(v: np.ndarray, Z_U: np.ndarray, W: np.ndarray,
                  counter: OpCounter | None = None, spectra: np.ndarray | None = None):
-    """(G(v) Z_V, G(v)^H Z_U) on the lift of Z_U's n_1 rows and Z_V's n_2
-    columns, for ``v`` of length n_1 + n_2 - 1, never materializing G.
+    """(G(v) conj(W), G(v)^T conj(Z_U)) on the lift of Z_U's n_1 rows and W's
+    n_2 columns, for ``v`` of length n_1 + n_2 - 1, never materializing G.
 
-    ``spectra``, the stacked block of ``gstar_outer(Z_U, conj(Z_V),
-    return_spectra=True)``, is the conj-spectrum of [conj(Z_U), Z_V]: one
-    :func:`hankel_corr` consumes it and takes both products with one
-    transform of D^{-1}v, with the bits of two separate correlations, and
-    both results are views of it.  Without it, each product is correlated
-    afresh, densely for a small lift; G(v)^H is the n_2-row lift of
-    conj(D^{-1}v).
+    G(v)^T is the n_2-row lift of the same D^{-1}v, so each product is
+    :func:`g_apply_times_conj`'s correlation.  ``spectra``, the block of
+    ``gstar_outer(Z_U, W, return_spectra=True)``, holds Z_U's FFT rows over
+    W's; each product consumes its half and is a view of it, and the whole
+    block is left read-only, so a second use raises ValueError.  Without
+    it, each product is correlated afresh, densely for a small lift.
     """
     v = np.asarray(v)
-    (n_1, r), n_2 = Z_U.shape, Z_V.shape[0]
+    (n_1, r), n_2 = Z_U.shape, W.shape[0]
     if v.shape[0] != n_1 + n_2 - 1:
         raise ValueError(f"v must have length n_1 + n_2 - 1 = {n_1 + n_2 - 1}, got {v.shape[0]}")
     u = apply_D_inv(v, n_rows=n_1)
-    if spectra is None:
-        return (hankel_corr(u, Z_V, n_1, counter=counter),
-                hankel_corr(np.conjugate(u), Z_U, n_2, counter=counter))
-    # hankel_corr reads only the column count of a block whose spectrum is
-    # passed; rows past a product's own come from the taller lift and go.
-    n_out = max(n_1, n_2)
-    cols = np.broadcast_to(spectra.dtype.type(0), (n_out, 2 * r))
-    gw = hankel_corr(u, cols, n_out, counter=counter, cbar_spectrum=spectra)
-    return gw[:n_1, r:], np.conjugate(gw[:n_2, :r], out=gw[:n_2, :r])
+    F_U, F_W = (None, None) if spectra is None else (spectra[:r], spectra[r:])
+    gw_U = _times_conj(u, W, n_1, counter, F_W)
+    gw_W = _times_conj(u, Z_U, n_2, counter, F_U)
+    if spectra is not None:
+        spectra.flags.writeable = False
+    return gw_U, gw_W

@@ -7,23 +7,23 @@ and minimizes
                 + (1/4)  ||(I - GG*)(M)||_F^2
                 + lambda_b ||Z_U^H Z_U - Z_V^H Z_V||_F^2,   lambda_b = 1/16,
 
-the last term keeping the two factors balanced.  Gradients in the same
-rearranged matrix-free form as the symmetric solver, with
+the last term keeping the two factors balanced.  The solver carries
+W = conj(Z_V), so M = Z_U W^T has the symmetric solver's form Z Z^T and
+each gradient correlation is G(w) times the conjugate of a factor.  With
 w = p^{-1} P_Omega(G*M - y) - G*M and B = Z_U^H Z_U - Z_V^H Z_V:
 
-    grad_U f = (1/2) G(w) Z_V + Z_U ((1/2) Z_V^H Z_V + (1/4) B)
-    grad_V f = (1/2) G(w)^H Z_U + Z_V ((1/2) Z_U^H Z_U - (1/4) B)
+    grad_U f = (1/2) G(w) conj(W) + Z_U ((1/2) conj(W^H W) + (1/4) B)
+    grad_W f = (1/2) G(w)^T conj(Z_U) + W conj((1/2) Z_U^H Z_U - (1/4) B)
 
-costing three r-column FFT passes per iteration (one for G*M, one each for
-the two correlations) against the symmetric solver's two, plus two grams and
-two n_i r^2 products.  The correlations are :func:`hankel_ops.g_apply_pair`,
-which takes the factors' spectra from the evaluation's G*M; the 1/2 is
-applied to w, not to the n_i x r results.  The grams are Hermitian,
-and from n_i r^2 = :data:`descent.HERK_FROM` on each takes BLAS herk's one
-triangle, half the flops of a general product (:func:`descent.gram`).  Even
-n needs no zero-padding: the rectangular lift absorbs it (n_1 = n/2,
-n_2 = n/2 + 1).  The iteration loop, step policies, projection radius and
-result type are the symmetric solver's, from :mod:`hankel_scs.descent`.
+with grad_W = conj(grad_V f), costing three r-column FFT passes per
+iteration (G*M and :func:`hankel_ops.g_apply_pair`'s two correlations,
+which take the factors' spectra from G*M) against the symmetric solver's
+two, plus two Hermitian grams (:func:`descent.gram`) and two n_i r^2
+products; the 1/2 is applied to w.  Even n needs no zero-padding (n_1 =
+n/2, n_2 = n/2 + 1).  The loop, step policies, projection radius and result
+type are :mod:`hankel_scs.descent`'s; row norms and B, so the projection
+and the balancing gap, are the same in W as in Z_V.  :class:`FactorPair`,
+:func:`pgd_loss`, :func:`pgd_grads` and ``Z_final`` hold Z_V.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class FactorPair:
 
 
 def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
-    Z_U, Z_V = Zs
-    g, F = hankel_ops.gstar_outer(Z_U, np.conj(Z_V), counter=counter, return_spectra=True)
+    Z_U, W = Zs
+    g, F = hankel_ops.gstar_outer(Z_U, W, counter=counter, return_spectra=True)
     GU = descent.gram(Z_U, counter)
-    GV = descent.gram(Z_V, counter)
+    GV = descent.gram(W, counter).conj()  # Z_V^H Z_V
     B = GU - GV
     # ||Z_U Z_V^H||_F^2 = trace(GU GV), real since both grams are Hermitian.
     m_norm2 = float(np.real(np.vdot(GV, GU)))
@@ -68,29 +68,30 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
 
 def _gradients_pair(state: descent.State, p, counter=None):
     GU, GV, B = state.aux
-    Z_U, Z_V = state.Zs
+    Z_U, W = state.Zs
     w = state.masked / p - state.g
     w *= 0.5  # the gradients' 1/2 G(w); halving is exact, so it commutes
-    gw_U, gw_V = hankel_ops.g_apply_pair(w, Z_U, Z_V, counter=counter, spectra=state.spectrum)
+    gw_U, gw_W = hankel_ops.g_apply_pair(w, Z_U, W, counter=counter, spectra=state.spectrum)
     grad_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B, counter)
     grad_U += gw_U
-    grad_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B, counter)
-    grad_V += gw_V
-    return grad_U, grad_V
+    grad_W = descent.right_mul(W, np.conj(0.5 * GU - 0.25 * B), counter)
+    grad_W += gw_W
+    return grad_U, grad_W
 
 
 def pgd_loss(pair: FactorPair, y_obs: np.ndarray, mask: SamplingMask, p: float) -> float:
     """Baseline loss at a factor pair (see module docstring)."""
     counts = hankel_ops.mask_counts(mask)
-    return _evaluate_pair((pair.Z_U, pair.Z_V), y_obs, counts, p).loss
+    return _evaluate_pair((pair.Z_U, np.conj(pair.Z_V)), y_obs, counts, p).loss
 
 
 def pgd_grads(pair: FactorPair, y_obs: np.ndarray, mask: SamplingMask, p: float,
               counter: hankel_ops.OpCounter | None = None):
     """Gradients (grad_U, grad_V) of :func:`pgd_loss`."""
     counts = hankel_ops.mask_counts(mask)
-    state = _evaluate_pair((pair.Z_U, pair.Z_V), y_obs, counts, p, counter=counter)
-    return _gradients_pair(state, p, counter=counter)
+    state = _evaluate_pair((pair.Z_U, np.conj(pair.Z_V)), y_obs, counts, p, counter=counter)
+    grad_U, grad_W = _gradients_pair(state, p, counter=counter)
+    return grad_U, np.conjugate(grad_W, out=grad_W)
 
 
 def rect_spectral_init(
@@ -143,13 +144,13 @@ def pgd_recover(
         evaluate=_evaluate_pair,
         gradient=_gradients_pair,
         project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
-        Zs0=(Z_U0, Z_V0),
+        Zs0=(Z_U0, np.conj(Z_V0)),
         y_obs=y_obs,
         iter_counts=iter_counts,
         config=config,
         sigma1=sigma1,
         n_out=n,
-        factor_of=lambda Zs: FactorPair(*Zs),
+        factor_of=lambda Zs: FactorPair(Zs[0], np.conj(Zs[1])),
         scale=scale,
         # The rectangular parametrization reaches each lift entry through one
         # factor instead of two symmetric copies, so the exact gradient of the

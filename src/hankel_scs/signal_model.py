@@ -76,11 +76,6 @@ class SpectralModel:
     def r(self) -> int:
         return self.freqs.shape[0]
 
-    @property
-    def poles(self) -> np.ndarray:
-        """w_k = exp(i 2 pi f_k - tau_k)."""
-        return np.exp(2j * np.pi * self.freqs - self.dampings)
-
 
 @dataclass
 class SamplingMask:
@@ -111,9 +106,7 @@ class SamplingMask:
 
 def synthesize(model: SpectralModel) -> np.ndarray:
     """Evaluate x[t] = sum_k d_k exp((i 2 pi f_k - tau_k) t) for t = 0..n-1."""
-    t = np.arange(model.n)
-    powers = np.exp(np.outer(t, 2j * np.pi * model.freqs - model.dampings))
-    return powers @ model.amps
+    return vandermonde(model, model.n) @ model.amps
 
 
 def vandermonde(model: SpectralModel, n_s: int) -> np.ndarray:
@@ -149,6 +142,8 @@ def random_model(
     Dampings are zero unless ``damped``, then uniform on ``damping_range``.
     """
     hankel_ops.check_rank(n, r)
+    if min_sep is not None and not min_sep >= 0:
+        raise ValueError(f"min_sep must be nonnegative, got {min_sep}")
     if min_sep is not None and r * min_sep >= 1:
         raise SeparationError(
             f"r*min_sep = {r * min_sep:.3g} >= 1: {r} frequencies with "
@@ -200,8 +195,8 @@ def observe(signal: np.ndarray, mask: SamplingMask, sigma_e: float = 0.0, rng=No
     signal = np.asarray(signal)
     if signal.shape[0] != mask.n:
         raise ValueError("signal length and mask ambient length differ")
-    if sigma_e < 0:
-        raise ValueError("sigma_e must be nonnegative")
+    if not 0 <= sigma_e < np.inf:
+        raise ValueError(f"sigma_e must be finite and nonnegative, got {sigma_e}")
     idx = np.unique(mask.indices)
     out = np.zeros(mask.n, dtype=complex)
     out[idx] = signal[idx]

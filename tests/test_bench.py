@@ -453,7 +453,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     # and write nothing
     out = tmp_path / "gen.ssig.json"
     for flags in (["--n", "10", "--rank", "8"], ["--n", "10", "--m", "20"],
-                  ["--rank", "3", "--min-sep", "0.5"]):
+                  ["--rank", "3", "--min-sep", "0.5"], ["--min-sep", "nan"],
+                  ["--min-sep=-0.1"], ["--sigma-e", "nan"], ["--sigma-e", "inf"],
+                  ["--sigma-e=-1"]):
         assert cli.main(["gen", *flags, "--out", str(out)]) == 1
         assert not out.exists()
         assert "bad gen settings" in capsys.readouterr().err
@@ -488,7 +490,7 @@ def test_cli_config_validation(tmp_path):
     assert doc["iters"] == 5 and doc["termination"] == "max_iters"
 
 
-def test_cli_solver_failure_exit_code(tmp_path):
+def test_cli_solver_failure_exit_code(tmp_path, capsys):
     sig = tmp_path / "sig.ssig.json"
     assert cli.main(["gen", "--n", "63", "--rank", "2", "--m", "40",
                      "--seed", "2", "--out", str(sig)]) == 0
@@ -498,6 +500,16 @@ def test_cli_solver_failure_exit_code(tmp_path):
         "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
+    # A solver's own refusal exits 2 too: all-zero samples hold no rank-2 lift.
+    zero = tmp_path / "zero.ssig.json"
+    zero.write_text(json.dumps({"n": 31, "observed": list(range(20)), "samples": [[0.0, 0.0]] * 31}))
+    for solver in ("shgd", "pgd"):
+        out = tmp_path / f"{solver}.json"
+        code = cli.main(["recover", "--input", str(zero), "--rank", "2", "--solver", solver,
+                         "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solver failed:") and "numerical rank below r=2" in err
 
 
 def test_cli_phase_csv(tmp_path):

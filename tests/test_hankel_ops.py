@@ -337,9 +337,10 @@ def test_fft_spectrum_reuse_paths_agree(rng):
 @pytest.mark.parametrize("rows, r", [(96, 8), (8192, 30), (1024, 150)])
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_stacked_spectra_have_the_bits_of_separate_transforms(rng, rows, r, dtype):
-    # PGD transforms both factors in one call and correlates against both in
-    # another; its solves keep their bits only if a row of a stacked batch
-    # equals the same row transformed alone.  Lifts above the dense rule.
+    # PGD transforms both factors in one call and correlates against each
+    # half on its own; its solves keep their bits only if a row of a stacked
+    # batch equals the same row transformed alone, and a correlation against
+    # the whole block equals one against each half.  Lifts above the dense rule.
     assert rows - 1 > hankel_ops.DENSE_ROWS
     A = rand_complex(rng, rows, r).astype(dtype)
     B = rand_complex(rng, rows - 1, r).astype(dtype)
@@ -392,6 +393,16 @@ def test_hankel_corr_consumes_a_passed_spectrum(rng):
     hankel_ops.hankel_corr(h, np.zeros((84, 8)), 84, cbar_spectrum=F)
     with pytest.raises(ValueError, match="read-only"):
         hankel_ops.hankel_corr(h, np.zeros((84, 8)), 84, cbar_spectrum=F)
+    # g_apply_pair consumes each half of the stacked block apart; the whole
+    # block is left read-only, so its halves cannot be taken afresh either.
+    W = rand_complex(rng, 98, 4)
+    _, F = hankel_ops.gstar_outer(Z, W, return_spectra=True)
+    v = rand_complex(rng, 194)
+    outs = hankel_ops.g_apply_pair(v, Z, W, spectra=F)
+    assert all(np.shares_memory(out, F) and out.flags.writeable for out in outs)
+    assert not F.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hankel_ops.g_apply_pair(v, Z, W, spectra=F)
 
 
 # Layouts: the kernels transform columns as contiguous rows, whatever the
@@ -417,7 +428,8 @@ def _layout_kernels(rng, n_1, n_2, n_s):
     H = loop_lift(h, n_1, n_2)
     G_h = loop_lift(h / np.sqrt(w_rect), n_1, n_2)
     G_v = loop_lift(v / np.sqrt(w_sq), n_s, n_s)
-    pair = np.vstack((G_h @ B, G_h.conj().T @ A))  # g_apply_pair's two products, stacked
+    # g_apply_pair's two products, stacked: (A, B) are (Z_U, W) with W = conj(Z_V).
+    pair = np.vstack((G_h @ np.conj(B), G_h.T @ np.conj(A)))
     return {
         "hankel_corr": (lambda L: hankel_ops.hankel_corr(h, L(B), n_1), H @ B),
         "lift_apply": (lambda L: hankel_ops.lift_operator(h, n_1)[0](L(B)), H @ B),
@@ -439,7 +451,7 @@ def _layout_kernels(rng, n_1, n_2, n_s):
         "g_apply_pair_spectrum": (
             lambda L: np.vstack(hankel_ops.g_apply_pair(
                 h, L(A), L(B),
-                spectra=hankel_ops.gstar_outer(L(A), np.conj(L(B)), return_spectra=True)[1])),
+                spectra=hankel_ops.gstar_outer(L(A), L(B), return_spectra=True)[1])),
             pair),
         "hankel_corr_spectrum": (
             lambda L: hankel_ops.hankel_corr(

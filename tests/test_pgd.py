@@ -118,34 +118,35 @@ def test_pgd_gradients_match_central_finite_differences(rng):
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_pgd_gradients_consume_the_spectrum_and_keep_their_bits(rng, dtype):
-    # One correlation consumes the evaluation's stacked spectrum, which the
-    # loop then drops; the gradients have the bits of two separate correlations
-    # that transform the factors afresh.  A lift above the dense rule, which
-    # makes spectra.
+    # The solver carries W = conj(Z_V).  Each correlation consumes its half
+    # of the evaluation's stacked spectrum, which the loop then drops; the
+    # gradients have the bits of two separate correlations that transform
+    # the factors afresh.  A lift above the dense rule, which makes spectra.
     n, r, m = 192, 4, 92
     n_1, n_2 = pgd.rect_dims(n)
     assert n_1 > hankel_ops.DENSE_ROWS
     mask = signal_model.uniform_mask(n, m, rng=rng)
     y = hankel_ops.p_omega(rand_complex(rng, n), mask).astype(dtype)
     pair = random_pair(rng, n, r)
-    Z_U, Z_V = (np.asfortranarray(Z.astype(dtype)) for Z in (pair.Z_U, pair.Z_V))
+    Z_U, W = (np.asfortranarray(Z.astype(dtype)) for Z in (pair.Z_U, np.conj(pair.Z_V)))
     p = m / n
     counts = hankel_ops.mask_counts(mask).astype(y.real.dtype)
-    state = pgd._evaluate_pair((Z_U, Z_V), y, counts, p)
+    state = pgd._evaluate_pair((Z_U, W), y, counts, p)
     GU, GV, B = state.aux
     h = hankel_ops.apply_D_inv(state.masked / p - state.g) * 0.5
     want_U = descent.right_mul(Z_U, 0.5 * GV + 0.25 * B)
-    want_U += hankel_ops.hankel_corr(h, Z_V, n_2)[:n_1]
-    want_V = descent.right_mul(Z_V, 0.5 * GU - 0.25 * B)
-    want_V += np.conj(hankel_ops.hankel_corr(h, np.conj(Z_U), n_2))
+    want_U += hankel_ops.hankel_corr(h, np.conj(W), n_1)
+    want_W = descent.right_mul(W, np.conj(0.5 * GU - 0.25 * B))
+    want_W += hankel_ops.hankel_corr(h, np.conj(Z_U), n_2)
     spectrum = state.spectrum
-    got_U, got_V = pgd._gradients_pair(state, p)
+    got_U, got_W = pgd._gradients_pair(state, p)
     assert state.spectrum is spectrum and not spectrum.flags.writeable
     assert state.aux[-1] is B
-    assert np.array_equal(got_U, want_U) and np.array_equal(got_V, want_V)
+    assert np.array_equal(got_U, want_U) and np.array_equal(got_W, want_W)
     if dtype == np.complex128:
-        grads = pgd.pgd_grads(pgd.FactorPair(Z_U, Z_V), y, mask, p)
-        assert all(np.array_equal(g, w) for g, w in zip(grads, (want_U, want_V)))
+        # pgd_grads takes and returns Z_V's gradient: conj(grad_W).
+        grads = pgd.pgd_grads(pgd.FactorPair(Z_U, np.conj(W)), y, mask, p)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, (want_U, np.conj(want_W))))
 
 
 def test_pgd_gradients_vanish_at_exact_balanced_pair(rng):

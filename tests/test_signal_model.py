@@ -253,3 +253,40 @@ def test_model_validation():
             n=3, freqs=np.array([0.1, 0.2]), dampings=np.array([0.0]),
             amps=np.array([1.0 + 0j]),
         )
+
+
+def _model(n=7, freqs=(0.1, 0.2), dampings=(0.0, 0.0), amps=(1.0, 1.0)):
+    return signal_model.SpectralModel(n=n, freqs=np.array(freqs), dampings=np.array(dampings),
+                                      amps=np.array(amps, dtype=complex))
+
+
+def _observe(sigma_e=0.0, n=7):
+    x = np.ones(n, dtype=complex)
+    return signal_model.observe(x, signal_model.SamplingMask(7, np.array([0, 3])), sigma_e=sigma_e)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _model(freqs=(), dampings=(), amps=()), "at least one mode"),
+    (lambda: _model(freqs=(0.1, 1.0)), "lie in \\[0, 1\\)"),
+    (lambda: _model(freqs=(-0.1, 0.2)), "lie in \\[0, 1\\)"),
+    (lambda: _model(dampings=(0.0, -0.01)), "nonnegative"),
+    (lambda: _model(amps=(1.0, 0.0)), "nonzero"),
+    (lambda: _model(freqs=(0.2, 0.2)), "pairwise distinct"),
+    (lambda: _model(n=2), "rank 2 needs signal length n >= 2r-1 = 3"),
+    (lambda: _observe(n=8), "length and mask ambient length differ"),
+    (lambda: _observe(sigma_e=-0.1), "finite and nonnegative"),
+    (lambda: _observe(sigma_e=np.nan), "finite and nonnegative"),
+    (lambda: _observe(sigma_e=np.inf), "finite and nonnegative"),
+], ids=["no-mode", "freq-one", "freq-negative", "damping", "amp", "repeat",
+        "rank", "observe-length", "sigma-negative", "sigma-nan", "sigma-inf"])
+def test_model_and_observe_refusals(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("min_sep", [np.nan, -0.01])
+def test_random_model_refuses_a_nan_or_negative_separation(min_sep):
+    # Caught before any draw: NaN compares false against every distance and
+    # would otherwise spend the whole retry budget.
+    with pytest.raises(ValueError, match="min_sep must be nonnegative"):
+        signal_model.random_model(63, 3, rng=0, min_sep=min_sep)
