@@ -299,7 +299,7 @@ def project_C(Z: np.ndarray, radius: float) -> np.ndarray:
     s = np.einsum("lk,lk->k", V, V)
     energy = s[0::2] + s[1::2]
     clip = energy > radius * radius
-    if not clip.any():
+    if not np.count_nonzero(clip):
         return Z
     scale = np.ones_like(energy)
     scale[clip] = radius / np.sqrt(energy[clip])
@@ -382,8 +382,8 @@ def make_state(Zs, g, m_norm2, y_obs, counts, p, spectrum, aux, extra_loss=0.0) 
     """
     resid = g - y_obs
     masked = counts * resid
-    data = float(np.real(np.vdot(masked, resid))) / (4.0 * p)
-    pen = max(0.25 * (m_norm2 - float(np.real(np.vdot(g, g)))), 0.0)
+    data = float(np.vdot(masked, resid).real) / (4.0 * p)
+    pen = max(0.25 * (m_norm2 - float(np.vdot(g, g).real)), 0.0)
     return State(Zs, g, masked, max(data + pen + extra_loss, 0.0), spectrum, aux)
 
 
@@ -397,6 +397,14 @@ def _phase_data(y_obs, iter_counts, dtype):
 def _signal(state: State) -> np.ndarray:
     """Sample-domain iterate D^{-1} g."""
     return hankel_ops.apply_D_inv(state.g)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 of a 1-D vector by ``np.linalg.norm``'s own formula for it,
+    sqrt(re . re + im . im), with its bits and without its dispatch: about
+    1 us a call against 2-4 us, three times per iteration."""
+    re, im = x.real, x.imag
+    return float(np.sqrt(re.dot(re) + im.dot(im)))
 
 
 def descend(
@@ -443,7 +451,7 @@ def descend(
     state = evaluate(project(Zs), y, counts, p, counter)
     loss_init = state.loss
     x_prev = _signal(state)
-    truth_norm = float(np.linalg.norm(truth)) if truth is not None else None
+    truth_norm = _norm(truth) if truth is not None else None
     history: list[IterRecord] = []
     termination = "max_iters"
     single_changes: list[float] = []
@@ -477,7 +485,7 @@ def descend(
         eta = eta0
         new_state = _candidate(eta)
         if not fixed:
-            gnorm2 = sum(float(np.real(np.vdot(gz, gz))) for gz in grads)
+            gnorm2 = sum(float(np.vdot(gz, gz).real) for gz in grads)
             for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:
                     break
@@ -493,8 +501,8 @@ def descend(
                 break
 
         x_new = _signal(new_state)
-        denom = float(np.linalg.norm(x_prev))
-        delta = float(np.linalg.norm(x_new - x_prev))
+        denom = _norm(x_prev)
+        delta = _norm(x_new - x_prev)
         rel_change = delta / denom if denom > 0 else (0.0 if delta == 0 else float("inf"))
         rec = IterRecord(
             k=k,
@@ -507,12 +515,12 @@ def descend(
         if truth is not None:
             # Compare on the truth's own support: iterates may carry a padded
             # tail sample that the caller's reference signal does not cover.
-            rec.rel_err = float(np.linalg.norm(x_new[: truth.shape[0]] - truth) / truth_norm)
+            rec.rel_err = _norm(x_new[: truth.shape[0]] - truth) / truth_norm
         if gap_of is not None:
             rec.balancing_gap = gap_of(new_state)
         history.append(rec)
 
-        if not np.isfinite(new_state.loss):
+        if not math.isfinite(new_state.loss):
             termination = "diverged"  # keep the last finite iterate
             break
         state, x_prev = new_state, x_new

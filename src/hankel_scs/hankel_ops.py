@@ -45,7 +45,13 @@ from which every kernel and D map reads.  The record also picks the path:
 a lift of at most :data:`DENSE_ROWS` rows and columns, such as the desk's
 64 x 64 at n = 127, is multiplied densely, where the FFT passes are cheap
 arithmetic wrapped in costly per-call dispatch; it then holds the cached
-index arrays of the dense products.  A larger lift is convolved by FFT.
+index arrays of the dense products.  Two of those take a shortcut that
+keeps every bit.  G* of one factor multiplies Z by a column-major copy of
+itself: numpy sends a product with its own transpose to syrk and a mirror
+loop, which is slower than gemm against the copy.  On a square lift
+G(v)^T = G(v), so the two-factor pair correlates the stacked
+conj([W | Z_U]) with one gather and one product (:func:`g_apply_pair`).
+A larger lift is convolved by FFT.
 Either way the logical count is one FFT pass per factor column
 (:class:`OpCounter`).  Every kernel keeps the precision of its input:
 complex64 factors give complex64 results, and a correlation, each action
@@ -289,7 +295,7 @@ def hankel_corr(
     passes a copy.  The dense result is column-major too.
     """
     C = np.asarray(C)
-    h = np.asarray(h).astype(np.result_type(C.dtype, np.complex64), copy=False)
+    h = np.asarray(h).astype(np.promote_types(C.dtype, np.complex64), copy=False)
     single = C.ndim == 1
     if single:
         C = C[:, None]
@@ -363,15 +369,20 @@ def _pair_sum(F: np.ndarray, r: int) -> np.ndarray:
 
 def _gstar_conv(A: np.ndarray, B: np.ndarray, counter: OpCounter | None):
     """(G*(A B^T), F).  A dense lift sums the skew-diagonals of the product
-    A B^T and gives F = None; a larger one convolves the padded column FFTs
-    F, as (cols x nfft) rows: A's over B's from one transform, or A's alone
-    when ``B is A``.  It calls no public kernel, so wrappers see one call."""
-    dtype = np.result_type(A.dtype, B.dtype, np.complex64)
+    A B^T, against a copy of A when ``B is A`` (see the module docstring),
+    and gives F = None; a larger one convolves the padded column FFTs F, as
+    (cols x nfft) rows: A's over B's from one transform, or A's alone when
+    ``B is A``.  It calls no public kernel, so wrappers see one call."""
+    dtype = np.promote_types(np.promote_types(A.dtype, B.dtype), np.complex64)
     lift = _lift(A.shape[0], B.shape[0], dtype == np.complex64)
     r = A.shape[1]
     if counter is not None:
         counter.add(r)
     if lift.index is not None:
+        if B is A:
+            # numpy sends a product with its own transpose to syrk and a
+            # mirror loop; gemm against a copy is faster, with the same bits.
+            B = A.copy(order="F")
         P = np.matmul(A, B.T, dtype=dtype)
         diag_sums = np.add.reduceat(P.ravel()[lift.diag_order], lift.diag_starts)
         return diag_sums * lift.inv_sqrt_w, None
@@ -435,9 +446,15 @@ def g_apply(
 
 def _times_conj(u, Z, n_out, counter, spectrum):
     """H(u) conj(Z) with the ``n_out``-row lift of u, consuming ``spectrum``,
-    Z's FFT rows from a G* kernel, or else correlating conj(Z) afresh."""
-    C = Z if spectrum is not None else np.conj(Z)
-    return hankel_corr(u, C, n_out, counter=counter, cbar_spectrum=spectrum)
+    Z's FFT rows from a G* kernel.  Without it, a dense lift multiplies
+    conj(Z), and an FFT lift transforms Z's own rows: they are the
+    conj-spectrum of conj(Z), so no conjugated copy is made."""
+    if spectrum is None:
+        lift = _lift(n_out, u.shape[0] - n_out + 1)
+        if lift.index is not None:
+            return hankel_corr(u, np.conj(Z), n_out, counter=counter)
+        spectrum = _row_spectra(Z, lift.nfft)
+    return hankel_corr(u, Z, n_out, counter=counter, cbar_spectrum=spectrum)
 
 
 def g_apply_times_conj(
@@ -451,7 +468,8 @@ def g_apply_times_conj(
     out[i, l] = sum_j (D^{-1}v)[i + j] conj(Z[j, l]), for ``v`` of length
     2 n_s - 1.  ``z_spectrum``, Z's (r x nfft) FFT rows from
     :func:`gstar_gram`, is consumed, and the result is a view of it.
-    Without it, conj(Z) is correlated afresh, densely for a small lift.
+    Without it, the product is correlated afresh: a small lift multiplies
+    conj(Z) densely, a larger one transforms Z's own columns.
     """
     v = np.asarray(v)
     n_s = Z.shape[0]
@@ -470,13 +488,24 @@ def g_apply_pair(v: np.ndarray, Z_U: np.ndarray, W: np.ndarray,
     ``gstar_outer(Z_U, W, return_spectra=True)``, holds Z_U's FFT rows over
     W's; each product consumes its half and is a view of it, and the whole
     block is left read-only, so a second use raises ValueError.  Without
-    it, each product is correlated afresh, densely for a small lift.
+    it, each product is correlated afresh, densely for a small lift; a small
+    square lift (odd n) is symmetric, G(v)^T = G(v), so there both products
+    are one correlation of the stacked conj([W | Z_U]), whose halves have
+    the bits of the two products and count one pass per column as they do.
     """
     v = np.asarray(v)
     (n_1, r), n_2 = Z_U.shape, W.shape[0]
     if v.shape[0] != n_1 + n_2 - 1:
         raise ValueError(f"v must have length n_1 + n_2 - 1 = {n_1 + n_2 - 1}, got {v.shape[0]}")
     u = apply_D_inv(v, n_rows=n_1)
+    if spectra is None and r > 1 and n_1 == n_2 and _lift(n_1, n_2).index is not None:
+        # One column stays apart: numpy multiplies it by gemv, whose sums
+        # may differ from gemm's in the last bit.
+        C = np.empty((n_1, 2 * r), dtype=np.promote_types(W.dtype, Z_U.dtype), order="F")
+        np.conjugate(W, out=C[:, :r])
+        np.conjugate(Z_U, out=C[:, r:])
+        out = hankel_corr(u, C, n_1, counter=counter)
+        return out[:, :r], out[:, r:]
     F_U, F_W = (None, None) if spectra is None else (spectra[:r], spectra[r:])
     gw_U = _times_conj(u, W, n_1, counter, F_W)
     gw_W = _times_conj(u, Z_U, n_2, counter, F_U)

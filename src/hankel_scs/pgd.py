@@ -59,8 +59,8 @@ def _evaluate_pair(Zs, y_obs, counts, p, counter=None) -> descent.State:
     GV = descent.gram(W, counter).conj()  # Z_V^H Z_V
     B = GU - GV
     # ||Z_U Z_V^H||_F^2 = trace(GU GV), real since both grams are Hermitian.
-    m_norm2 = float(np.real(np.vdot(GV, GU)))
-    balance = LAMBDA_BALANCE * float(np.real(np.vdot(B, B)))
+    m_norm2 = float(np.vdot(GV, GU).real)
+    balance = LAMBDA_BALANCE * float(np.vdot(B, B).real)
     return descent.make_state(
         Zs, g, m_norm2, y_obs, counts, p, spectrum=F, aux=(GU, GV, B), extra_loss=balance
     )

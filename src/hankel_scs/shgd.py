@@ -51,7 +51,7 @@ def _evaluate(Z, y_obs, counts, p, counter=None) -> descent.State:
     """Loss pieces at Z sharing one r-pass convolution."""
     g, FZ = hankel_ops.gstar_gram(Z, counter=counter, return_spectrum=True)
     A = descent.gram(Z, counter)
-    m_norm2 = float(np.real((A * A).sum()))  # ||Z Z^T||_F^2 via the gram
+    m_norm2 = float((A * A).sum().real)  # ||Z Z^T||_F^2 via the gram
     return descent.make_state((Z,), g, m_norm2, y_obs, counts, p, spectrum=FZ, aux=(A,))
 
 

@@ -186,6 +186,18 @@ def test_project_C_clips_rows_around_the_radius_as_by_norms(rng, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("n", [1, 127, 16382])
+def test_loop_norm_has_the_bits_of_numpys(rng, dtype, n):
+    # The loop's rel_change and rel_err take numpy's formula for a complex
+    # norm without its dispatch; contiguous and strided vectors alike.
+    x = (rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n)).astype(dtype)
+    for v in (x[:n], x[::3], x[1::2][:n]):
+        got = descent._norm(v)
+        assert isinstance(got, float)
+        assert got == float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("rows, r", [(64, 12), (1023, 32), (1024, 32), (8192, 12)])
 def test_gram_on_both_sides_of_the_herk_threshold(rng, dtype, rows, r):
     Z = np.asfortranarray(

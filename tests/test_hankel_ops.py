@@ -374,6 +374,62 @@ def test_blocked_pair_sum_has_the_bits_of_the_whole_product(rng, dtype, stacked)
         assert np.array_equal(hankel_ops._pair_sum(F, r), (F[:r] * F[-r:]).sum(axis=0))
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("r", [1, 4, 12])
+def test_dense_gstar_gram_is_the_product_against_a_copy(rng, dtype, r):
+    # On a dense lift G* of one factor multiplies it by a column-major copy
+    # of itself, so numpy runs gemm rather than its own-transpose path: the
+    # bits of the two-factor kernel given that copy.  The desk's 64 x 64 lift.
+    Z = np.asfortranarray(rand_complex(rng, 64, r).astype(dtype))
+    assert Z.shape[0] <= hankel_ops.DENSE_ROWS
+    got, F = hankel_ops.gstar_gram(Z, return_spectrum=True)
+    assert F is None and got.dtype == dtype
+    assert np.array_equal(got, hankel_ops.gstar_outer(Z, Z.copy(order="F")))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("n, r", [(127, 1), (127, 2), (127, 4), (127, 12), (41, 3)])
+def test_square_dense_pair_has_the_bits_of_two_correlations(rng, layout, dtype, n, r):
+    # On a square dense lift G(v)^T = G(v), so the pair correlates the
+    # stacked conj([W | Z_U]) in one product; each half keeps the bits of
+    # its own correlation, the pass count stays one per column, and both
+    # results are column-major.
+    n_1, n_2 = hankel_ops.rect_dims(n)
+    assert n_1 == n_2 <= hankel_ops.DENSE_ROWS
+    v = rand_complex(rng, n).astype(dtype)
+    Z_U = LAYOUTS[layout](rand_complex(rng, n_1, r).astype(dtype))
+    W = LAYOUTS[layout](rand_complex(rng, n_2, r).astype(dtype))
+    counter = hankel_ops.OpCounter()
+    gw_U, gw_W = hankel_ops.g_apply_pair(v, Z_U, W, counter=counter)
+    u = hankel_ops.apply_D_inv(v, n_rows=n_1)
+    assert np.array_equal(gw_U, hankel_ops.hankel_corr(u, np.conj(W), n_1))
+    assert np.array_equal(gw_W, hankel_ops.hankel_corr(u, np.conj(Z_U), n_2))
+    assert counter.fft_passes == 2 * r
+    assert gw_U.dtype == gw_W.dtype == dtype
+    assert gw_U.flags.f_contiguous and gw_W.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_fft_correlations_without_a_spectrum_transform_the_factor_itself(rng, dtype):
+    # Above the dense rule, with no spectrum handed on, the kernels transform
+    # Z's own rows, which are the conj-spectrum of conj(Z): the bits of
+    # correlating a conjugated copy, with no copy made.
+    n_s, n_1, n_2 = 86, 90, 85
+    assert min(n_s, n_2) > hankel_ops.DENSE_ROWS
+    Z = rand_complex(rng, n_s, 4).astype(dtype)
+    v = rand_complex(rng, 2 * n_s - 1).astype(dtype)
+    got = hankel_ops.g_apply_times_conj(v, Z)
+    u = hankel_ops.apply_D_inv(v)
+    assert np.array_equal(got, hankel_ops.hankel_corr(u, np.conj(Z), n_s))
+    Z_U, W = rand_complex(rng, n_1, 4).astype(dtype), rand_complex(rng, n_2, 4).astype(dtype)
+    h = rand_complex(rng, n_1 + n_2 - 1).astype(dtype)
+    gw_U, gw_W = hankel_ops.g_apply_pair(h, Z_U, W)
+    u = hankel_ops.apply_D_inv(h, n_rows=n_1)
+    assert np.array_equal(gw_U, hankel_ops.hankel_corr(u, np.conj(W), n_1))
+    assert np.array_equal(gw_W, hankel_ops.hankel_corr(u, np.conj(Z_U), n_2))
+
+
 def test_hankel_corr_consumes_a_passed_spectrum(rng):
     # The correlation is computed inside the spectrum it is given, and the
     # result is a view of that memory.  The consumed spectrum is left

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hankel_scs import hankel_ops, lowrank, pgd, signal_model
 from conftest import make_instance, rand_complex, rel
@@ -335,6 +336,21 @@ def test_spectral_init_refuses_an_even_length(rng):
     x, mask = full_mask_instance(rng, n=14, r=2)
     with pytest.raises(ValueError, match="odd length"):
         lowrank.spectral_init(hankel_ops.apply_D(x), mask, 2, seed=0)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("rows, cols", [(64, 14), (1024, 40)])
+def test_qr_has_the_bits_of_scipys_economic_qr(rng, dtype, rows, cols):
+    # Two direct LAPACK calls in place of scipy's wrapper: the same Q and R,
+    # Q column-major, in the block's precision, the block left unchanged.
+    for A in (np.asfortranarray(rand_complex(rng, rows, cols).astype(dtype)),
+              np.ascontiguousarray(rand_complex(rng, rows, cols).astype(dtype))):
+        before = A.copy()
+        Q, R = lowrank._qr(A)
+        Q_ref, R_ref = scipy.linalg.qr(A, mode="economic")
+        assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+        assert Q.flags.f_contiguous and Q.dtype == R.dtype == dtype
+        assert np.array_equal(A, before)
 
 
 # ---------------------------------------------------------------------------
