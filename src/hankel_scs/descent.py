@@ -53,6 +53,15 @@ of double-precision factor either way.
 ``single_ended_by`` names the rule that ended them.  A fixed-step run
 shorter than its complex64 phase, such as the 12 iterations of
 ``bench.run_scaling``, runs and times complex64 iterations only.
+
+Memory.  :func:`descend` holds one spectrum at a time, plus the current and
+the candidate factors (an Armijo trial adds the gradient).  The gradient
+consumes the state's spectrum, which goes as the gradient returns.  A
+rejected Armijo candidate goes, spectrum and all, before the next trial is
+evaluated.  At a precision switch or a new split part, the last state's
+unconsumed spectrum goes before the re-evaluation, and the last iterate's
+goes before the result is formed.  No name in the loop holds the factors it
+opened from, their opening cast, a past iterate or a used gradient.
 """
 
 from __future__ import annotations
@@ -407,6 +416,19 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(re.dot(re) + im.dot(im)))
 
 
+def _step(Zs, grads, eta: float, in_place: bool) -> tuple:
+    """Z - eta * gz for each factor, as -eta * gz + Z: negating eta * gz is
+    exact, so the sum has the same bits.  ``in_place`` forms it in the
+    gradient's memory (a fixed step, the only trial); each Armijo trial
+    reads the gradient again, so it takes one temporary."""
+    stepped = []
+    for Z, gz in zip(Zs, grads):
+        Z_new = np.multiply(gz, -eta, out=gz if in_place else None)
+        Z_new += Z
+        stepped.append(Z_new)
+    return tuple(stepped)
+
+
 def descend(
     *,
     evaluate,
@@ -446,9 +468,11 @@ def descend(
 
     counts, p = phase_counts[0]
     # Factors stay column-major (see right_mul); this cast and the one at
-    # each new phase below are the only places that set the layout.
-    Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in Zs0)
-    state = evaluate(project(Zs), y, counts, p, counter)
+    # each new phase below are the only places that set the layout.  No name
+    # here holds the opening factors: they live while a state does.
+    state = evaluate(project(tuple(np.asfortranarray(Z, dtype=dtype) for Z in Zs0)),
+                     y, counts, p, counter)
+    del Zs0
     loss_init = state.loss
     x_prev = _signal(state)
     truth_norm = _norm(truth) if truth is not None else None
@@ -464,32 +488,30 @@ def descend(
             # A new split part, or the first double-precision iteration;
             # iteration 0 runs on the part evaluated above.
             counts, p = phase_counts[k % len(phase_counts)]
-            Zs = tuple(np.asfortranarray(Z, dtype=dtype) for Z in state.Zs)
-            state = evaluate(Zs, y, counts, p, counter)
+            state.spectrum = None  # never consumed: the state is evaluated again
+            state = evaluate(tuple(np.asfortranarray(Z, dtype=dtype) for Z in state.Zs),
+                             y, counts, p, counter)
             x_prev = _signal(state)
         grads = gradient(state, p, counter)
         state.spectrum = None  # consumed by the gradient; its memory goes now
 
         def _candidate(eta):
-            # Z - eta * gz as -eta * gz + Z: negating eta * gz is exact, so
-            # the sum has the same bits.  A fixed step is the only trial and
-            # forms it in the gradient's memory; each Armijo trial reads the
-            # gradient again, so it takes one temporary.
-            Zs = []
-            for Z, gz in zip(state.Zs, grads):
-                Z_new = np.multiply(gz, -eta, out=gz if fixed else None)
-                Z_new += Z
-                Zs.append(Z_new)
-            return evaluate(project(tuple(Zs)), y, counts, p, counter)
+            # The stepped factors are an argument only: those that project
+            # clips die before the evaluation.
+            return evaluate(project(_step(state.Zs, grads, eta, fixed)), y, counts, p, counter)
 
         eta = eta0
+        if not fixed:
+            # Taken before the first trial, so its flattened copies of the
+            # gradient never coexist with a candidate's spectrum.
+            gnorm2 = sum(float(np.vdot(gz, gz).real) for gz in grads)
         new_state = _candidate(eta)
         if not fixed:
-            gnorm2 = sum(float(np.vdot(gz, gz).real) for gz in grads)
             for _ in range(config.max_halvings):
                 if new_state.loss <= state.loss - config.c_armijo * eta * gnorm2:
                     break
                 eta *= config.beta  # shrink only when another trial follows
+                del new_state  # rejected: its spectrum goes before the next trial's
                 new_state = _candidate(eta)
             if new_state.loss > state.loss:
                 termination = "diverged"  # no decrease at the smallest step
@@ -499,6 +521,7 @@ def descend(
                     fft_passes=counter.fft_passes - passes0,
                 ))
                 break
+        del grads  # a fixed step's are the candidate's factors; Armijo's are dead
 
         x_new = _signal(new_state)
         denom = _norm(x_prev)
@@ -524,6 +547,7 @@ def descend(
             termination = "diverged"  # keep the last finite iterate
             break
         state, x_prev = new_state, x_new
+        del new_state  # state alone holds the iterate, so a re-evaluation releases it
         if dtype == np.complex64:
             # The tolerance is only ever decided in double precision.
             single_changes.append(rel_change)
@@ -534,10 +558,11 @@ def descend(
         elif rel_change <= config.rel_change_tol:
             termination = "tol_reached"
             break
-        if new_state.loss > 1e6 * loss_init + 1e-300:
+        if state.loss > 1e6 * loss_init + 1e-300:
             termination = "diverged"
             break
 
+    state.spectrum = None  # the last iterate's is never consumed
     # Back to the caller's units; every factor is a power of two, so exact.
     root = math.sqrt(scale)
     for rec in history:

@@ -290,6 +290,9 @@ def hankel_corr(
     path.  The spectrum, passed or computed, is consumed: the product and the
     inverse transform run inside it, and the result is the (n_out x cols)
     transpose view of that row-major buffer, so its columns are contiguous.
+    That view keeps the whole (cols x nfft) spectrum alive, about twice the
+    result's size for a square lift, so a caller drops it once it is
+    consumed, by handing it straight to the next call or deleting its name.
     A passed spectrum is left read-only, so handing it to a kernel again, or
     writing to it, raises ValueError; a caller that needs a spectrum again
     passes a copy.  The dense result is column-major too.

@@ -24,6 +24,18 @@ finishes it (:func:`trunc_svd`), so U and V are orthonormal and sigma are
 Ritz values in double precision, and the rank and orthonormality checks run
 unchanged.  Every QR here is LAPACK's economic QR in the block's own
 precision (:func:`_qr`).
+
+Memory.  :func:`trunc_svd` releases each block as soon as it is dead, so a
+round holds at most its correlation's spectrum (b x nfft, two n x b blocks
+for a square lift, whose FFT length is about 2n), the basis Q, the last
+round's P and the convergence test's two n x r products: about five and a
+half n x b blocks in the rounds' precision.  The test block and its cast
+die after the range finder, W once P = qr(W) is formed, the last round's P
+once the test has run and Q before the next correlation; each correlation
+goes straight into its QR, so its spectrum dies with the QR's copy (see
+:func:`hankel_ops.hankel_corr`).  The double-precision finish of complex64
+rounds holds Q in both precisions, one spectrum and the QR's copy, about
+four double-precision blocks.
 """
 
 from __future__ import annotations
@@ -140,27 +152,25 @@ def trunc_svd(
     rng = np.random.default_rng(seed)
     b = min(r + OVERSAMPLE, n_rows, n_cols)
     omega = rng.standard_normal((n_cols, b)) + 1j * rng.standard_normal((n_cols, b))
+    # Every correlation goes straight into its QR (see Memory).
     Q, _ = _qr(apply(omega.astype(dtype, copy=False)))
+    del omega
     # Each round's Ritz pairs (SVD of R, with V = P Vb) are tested at the
     # start of the next round, whose applyH(Q) gives the residual, so the
     # test first runs in round 2; the last round's pairs are the result.
-    # Only the top r of the b columns of V are formed for the test.
     prev = None
     resid = np.inf
     for _ in range(max_rounds):
         W = applyH(Q)
         if prev is not None:
-            Ub, sig, Vbh, P = prev
-            if sig[0] <= 0.0:
-                resid = 0.0
-                break
-            pair_res = W @ Ub[:, :r] - P @ (Vbh[:r].conj().T * sig[:r])
-            resid = np.linalg.norm(pair_res, axis=0).max() / sig[0]
+            resid = _pair_residual(W, r, *prev)
             if resid <= tol:
+                del W  # the result is formed from Q and prev
                 break
+        del Q, prev
         P, _ = _qr(W)
-        Y = apply(P)
-        Q, R = _qr(Y)
+        del W
+        Q, R = _qr(apply(P))
         prev = (*np.linalg.svd(R), P)
     else:
         if strict:
@@ -170,12 +180,25 @@ def trunc_svd(
                 residual=float(resid),
             )
     if Q.dtype != np.complex128:
+        del prev, P  # the finish reads Q alone
         Q, _ = _qr(Q.astype(np.complex128))
         P, R = _qr(applyH(Q))
         Ub, sig, Vbh = np.linalg.svd(R.conj().T)
         return Q @ Ub[:, :r], sig[:r], P @ Vbh[:r].conj().T
     Ub, sig, Vbh, P = prev
     return Q @ Ub[:, :r], sig[:r].copy(), (P @ Vbh.conj().T)[:, :r]
+
+
+def _pair_residual(W, r, Ub, sig, Vbh, P) -> float:
+    """max_i ||M^H u_i - sigma_i v_i|| / sigma_1 over the top r Ritz pairs of
+    the last round, from W = M^H Q, with u_i = Q Ub[:, i] and v_i = P Vbh[i]^H;
+    0 for a zero operator.  Only the top r columns of V are formed, and the
+    residual is one n x r array: W Ub_r, less P V_r Sigma_r in place."""
+    if sig[0] <= 0.0:
+        return 0.0
+    res = W @ Ub[:, :r]
+    res -= P @ (Vbh[:r].conj().T * sig[:r])
+    return np.linalg.norm(res, axis=0).max() / sig[0]
 
 
 def _qr(A: np.ndarray):
@@ -241,15 +264,18 @@ def takagi_truncated(
     """Truncated Takagi factorization of a complex symmetric operator.
 
     ``apply`` is the action v -> Mv of a complex symmetric M (checked on
-    random probes); the adjoint action is derived as M^H v = conj(M conj(v)).
-    The subspace rounds run in ``dtype`` (see :func:`trunc_svd`); the core
-    and the factor are complex128.  Returns factors with
+    random probes); the adjoint action is derived as M^H v = conj(M conj(v)),
+    and it conjugates ``apply``'s result in place: ``apply`` returns a fresh
+    block, or a view of one, which this function may overwrite.  The
+    subspace rounds run in ``dtype`` (see :func:`trunc_svd`); the core and
+    the factor are complex128.  Returns factors with
     M ~ U_hat diag(sigma) U_hat^T matching the best rank-r approximation.
     """
     rng = np.random.default_rng(seed)
 
     def applyH(v):
-        return np.conj(apply(np.conj(v)))
+        out = apply(np.conj(v))
+        return np.conjugate(out, out=out)
 
     # Probe symmetry before factorizing: the derived adjoint above is only
     # valid for complex symmetric operators, and handing an asymmetric one to

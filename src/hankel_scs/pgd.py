@@ -144,7 +144,8 @@ def pgd_recover(
         evaluate=_evaluate_pair,
         gradient=_gradients_pair,
         project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
-        Zs0=(Z_U0, np.conj(Z_V0)),
+        # W0 = conj(Z_V0) is formed in the init's memory, not in a copy.
+        Zs0=(Z_U0, np.conjugate(Z_V0, out=Z_V0)),
         y_obs=y_obs,
         iter_counts=iter_counts,
         config=config,
@@ -161,5 +162,6 @@ def pgd_recover(
         step_scale=2.0,
         mu=max(mu_U, mu_V),
         truth=truth,
-        gap_of=lambda st: float(np.linalg.norm(st.aux[-1])),
+        # ||B||_F by np.linalg.norm's formula, in memory order, without its dispatch.
+        gap_of=lambda st: descent._norm(st.aux[-1].ravel(order="K")),
     )

@@ -512,3 +512,57 @@ def test_backtracking_solves_keep_a_double_precision_init(monkeypatch, solve, mo
     forced = solve(observed, mask, config)
     assert asked == [np.complex128]
     assert np.array_equal(forced.x_hat, base.x_hat)
+
+
+def _loop_peak(monkeypatch, solve, observed, mask, config):
+    """(result, traced peak of ``descend`` above what the solve holds when it
+    enters the loop, the init's factors included)."""
+    entry = []
+    descend = descent.descend
+
+    def traced(**kwargs):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return descend(**kwargs)
+
+    monkeypatch.setattr(descent, "descend", traced)
+    tracemalloc.start()
+    try:
+        result = solve(observed, mask, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - entry[0]
+
+
+# What descend holds, in units of one n_s x r double-precision factor F
+# (n = 4095, n_s = 2048, r = 32): the state's factors and the candidate's,
+# for Armijo also the gradient, which each trial reads again, and one
+# spectrum, r x nfft = 2F per factor.  For SHGD, with one factor, that is 4F
+# (fixed) and 5F (Armijo); for PGD, with two, 8F and 10F.  1.5F more covers
+# one G* row block (0.25F), the loop's length-n vectors (r = 32 makes each
+# 1/16 F) and rounding.  A fixed-step solve reads 4.6F and 8.6F, across the
+# complex64 -> complex128 switch, an Armijo solve 5.5F and 10.6F.  A loop
+# that keeps the unconsumed complex64 spectrum through the switch, the
+# last iterate's spectrum until the result, and each rejected candidate
+# through the next trial read 6.2F and 11.7F, and 9.7F and 18.7F.
+@pytest.mark.parametrize("solve, factors", [(shgd.recover, 1), (pgd.pgd_recover, 2)])
+@pytest.mark.parametrize("policy, eta_prime, factor_sets", [
+    ("fixed", 0.75, 2),
+    ("backtracking", 20.0, 3),  # eta' = 20 makes Armijo reject trials
+])
+def test_the_loop_holds_one_spectrum(monkeypatch, solve, factors, policy, eta_prime, factor_sets):
+    n, r = 4095, 32
+    _, x, mask, observed = make_instance(n, r, 2500, 3, min_sep=1.5 / n)
+    config = descent.SolverConfig(r=r, seed=0, step_policy=policy, eta_prime=eta_prime,
+                                  rel_change_tol=1e-9, max_iters=400)
+    result, peak = _loop_peak(monkeypatch, solve, observed, mask, config)
+    assert result.termination == "tol_reached"
+    if policy == "fixed":
+        assert 0 < result.single_iters < result.iters  # crossed the switch
+    else:
+        step_scale = 2.0 if solve is pgd.pgd_recover else 1.0
+        eta0 = step_scale * eta_prime / result.sigma1_M0
+        assert any(rec.step < 0.75 * eta0 for rec in result.history)
+    F = (n + 1) // 2 * r * 16
+    assert peak / F <= factor_sets * factors + 2 * factors + 1.5

@@ -1,6 +1,7 @@
 """Truncated SVD, truncated Takagi factorization, and spectral initialization."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,3 +445,45 @@ def test_complex64_inits_still_refuse_a_rank_deficient_lift(rng):
     y = hankel_ops.apply_D(x)
     with pytest.raises(lowrank.RankDeficiencyError):
         pgd.rect_spectral_init(y, mask, 4, seed=0, dtype=np.complex64)
+
+
+# Traced memory of one trunc_svd call on the FFT lift of a length-4095
+# signal (2048 x 2048, nfft 4096), in blocks: a block is the 2048 x b test
+# block in double precision (b = r + OVERSAMPLE = 40), so a double-precision
+# spectrum (b x nfft) is two.  A round holds at most its correlation's
+# spectrum, Q, the last round's P and the test's two 2048 x r products: 5.5
+# blocks in complex128 rounds (read 5.6).  complex64 rounds hold half that,
+# and their double-precision finish holds Q in both precisions, one spectrum
+# and the QR's copy: 4 blocks (read 4.1).  Rounds that keep the test block,
+# the last round's P and Q, and each correlation's spectrum until its name
+# is rebound read 9.6-11.0 and 8.0.
+SVD_BLOCK_BUDGET = {np.complex128: 6.5, np.complex64: 5.0}
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("signal", ["noise", "rank_r"])
+def test_trunc_svd_releases_each_block_once_it_is_dead(dtype, signal):
+    # Noise runs the whole round budget; an exactly rank-r signal stops at
+    # the round-2 test in complex128, the path whose result reads Q and prev.
+    n, r = 4095, 30
+    rng = np.random.default_rng(0)
+    if signal == "noise":
+        u = rand_complex(rng, n)
+    else:
+        u = np.exp(2j * np.pi * np.outer(np.arange(n), rng.random(r))).sum(axis=1)
+    apply, applyH, dims = hankel_ops.lift_operator(u, hankel_ops.rect_dims(n)[0])
+
+    def svd():
+        return lowrank.trunc_svd(apply, applyH, dims, r, seed=0, tol=1e-9,
+                                 max_rounds=4, strict=False, dtype=dtype)
+
+    svd()  # FFT plans and the lift's geometry are cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        svd()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = dims[0] * (r + lowrank.OVERSAMPLE) * 16
+    assert peak / block <= SVD_BLOCK_BUDGET[dtype]
