@@ -135,17 +135,23 @@ def pgd_recover(
     y_obs = hankel_ops.apply_D(observed)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
+    dtype = descent.opening_dtype(config)
     Z_U0, Z_V0, sigma1 = rect_spectral_init(y_obs, init_mask, config.r, seed=config.seed,
-                                            dtype=descent.opening_dtype(config))
+                                            dtype=dtype)
     radius_U, mu_U = descent.projection_radius(Z_U0, 2 * n_1, sigma1, config)
     radius_V, mu_V = descent.projection_radius(Z_V0, 2 * n_2, sigma1, config)
+    # The loop opens from these casts (descend's own are then no-ops), so the
+    # init's complex128 factors die here.  W0 = conj(Z_V0) is formed in the
+    # init's memory; the conjugate is exact, so it commutes with the cast.
+    Zs0 = (np.asfortranarray(Z_U0, dtype=dtype),
+           np.asfortranarray(np.conjugate(Z_V0, out=Z_V0), dtype=dtype))
+    del Z_U0, Z_V0
 
     return descent.descend(
         evaluate=_evaluate_pair,
         gradient=_gradients_pair,
         project=lambda Zs: (project_C(Zs[0], radius_U), project_C(Zs[1], radius_V)),
-        # W0 = conj(Z_V0) is formed in the init's memory, not in a copy.
-        Zs0=(Z_U0, np.conjugate(Z_V0, out=Z_V0)),
+        Zs0=Zs0,
         y_obs=y_obs,
         iter_counts=iter_counts,
         config=config,

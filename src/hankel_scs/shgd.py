@@ -99,9 +99,13 @@ def recover(
     y_obs = hankel_ops.apply_D(observed)
     init_mask, iter_counts = descent.split_for_iterations(mask, config)
 
+    dtype = descent.opening_dtype(config)
     Z0, sigma1 = lowrank.spectral_init(y_obs, init_mask, config.r, seed=config.seed,
-                                       dtype=descent.opening_dtype(config))
+                                       dtype=dtype)
     radius, mu = descent.projection_radius(Z0, n, sigma1, config)
+    # The loop opens from this cast (descend's own is then a no-op), so the
+    # init's complex128 factor dies here.
+    Z0 = np.asfortranarray(Z0, dtype=dtype)
 
     return descent.descend(
         evaluate=lambda Zs, *args: _evaluate(Zs[0], *args),

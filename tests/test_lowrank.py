@@ -339,18 +339,64 @@ def test_spectral_init_refuses_an_even_length(rng):
         lowrank.spectral_init(hankel_ops.apply_D(x), mask, 2, seed=0)
 
 
+def _block(rng, rows, cols, kind):
+    """A rows x cols block: Gaussian, of exact rank cols - 10, of condition
+    1e9 with its singular values spread log-evenly, or with a zero column."""
+    if kind == "rank_deficient":
+        return rand_complex(rng, rows, cols - 10) @ rand_complex(rng, cols - 10, cols)
+    if kind == "kappa_1e9":
+        U, _ = np.linalg.qr(rand_complex(rng, rows, cols))
+        V, _ = np.linalg.qr(rand_complex(rng, cols, cols))
+        return (U * np.logspace(0, -9, cols)) @ V.conj().T
+    A = rand_complex(rng, rows, cols)
+    if kind == "zero_column":
+        A[:, 5] = 0
+    return A
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-@pytest.mark.parametrize("rows, cols", [(64, 14), (1024, 40)])
-def test_qr_has_the_bits_of_scipys_economic_qr(rng, dtype, rows, cols):
-    # Two direct LAPACK calls in place of scipy's wrapper: the same Q and R,
-    # Q column-major, in the block's precision, the block left unchanged.
-    for A in (np.asfortranarray(rand_complex(rng, rows, cols).astype(dtype)),
-              np.ascontiguousarray(rand_complex(rng, rows, cols).astype(dtype))):
+@pytest.mark.parametrize("rows, cols, kind, cholesky, flag", [
+    (64, 14, "gaussian", True, True), (64, 22, "gaussian", True, True),  # small
+    (256, 160, "gaussian", True, True),  # fewer than 4 rows per column
+    (1024, 40, "rank_deficient", True, False), (1024, 40, "kappa_1e9", True, False),
+    (1024, 40, "zero_column", True, False), (1024, 40, "gaussian", False, False),
+])
+def test_qr_has_the_bits_of_scipys_economic_qr(rng, dtype, rows, cols, kind, cholesky, flag):
+    # Below the crossover, for blocks outside CholeskyQR2's range and after
+    # a block of the same operator fell outside it, two direct LAPACK calls
+    # in place of scipy's wrapper: the same Q and R, Q column-major, in the
+    # block's precision, the block left unchanged.  Only a block that tried
+    # CholeskyQR2 and fell outside its range turns the flag off.
+    for A in (np.asfortranarray(_block(rng, rows, cols, kind).astype(dtype)),
+              np.ascontiguousarray(_block(rng, rows, cols, kind).astype(dtype))):
         before = A.copy()
-        Q, R = lowrank._qr(A)
+        Q, R, handed_on = lowrank._qr(A, cholesky)
         Q_ref, R_ref = scipy.linalg.qr(A, mode="economic")
         assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+        assert handed_on == flag
         assert Q.flags.f_contiguous and Q.dtype == R.dtype == dtype
+        assert np.array_equal(A, before)
+
+
+@pytest.mark.parametrize("dtype, orth_tol", [(np.complex128, 1e-13), (np.complex64, 1e-5)])
+@pytest.mark.parametrize("rows, cols, kappa", [(1024, 40, 1.0), (2048, 40, 1e2), (256, 64, 1.0)])
+def test_qr_above_the_crossover_is_choleskyqr2(rng, dtype, orth_tol, rows, cols, kappa):
+    # A Gaussian block, or one of condition 100, well inside the range: the
+    # flag stays on only when both CholeskyQR2 passes ran.
+    assert rows * cols ** 2 >= lowrank.CHOLESKY_QR_FROM and rows >= 4 * cols
+    U, _ = np.linalg.qr(rand_complex(rng, rows, cols))
+    V, _ = np.linalg.qr(rand_complex(rng, cols, cols))
+    eps = np.finfo(dtype).eps
+    for A in (np.asfortranarray(((U * np.logspace(0, -np.log10(kappa), cols))
+                                 @ V.conj().T).astype(dtype)),
+              np.ascontiguousarray(rand_complex(rng, rows, cols).astype(dtype))):
+        before = A.copy()
+        Q, R, handed_on = lowrank._qr(A)
+        assert handed_on
+        assert Q.flags.f_contiguous and Q.dtype == R.dtype == dtype
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(cols)) <= orth_tol
+        assert np.array_equal(R, np.triu(R))
+        assert np.linalg.norm(A - Q @ R) <= 20 * eps * np.linalg.norm(A)
         assert np.array_equal(A, before)
 
 
@@ -445,6 +491,61 @@ def test_complex64_inits_still_refuse_a_rank_deficient_lift(rng):
     y = hankel_ops.apply_D(x)
     with pytest.raises(lowrank.RankDeficiencyError):
         pgd.rect_spectral_init(y, mask, 4, seed=0, dtype=np.complex64)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n, r, m", [(127, 4, 76), (1023, 10, 400)])
+def test_takagi_core_after_complex64_rounds_is_read_off_the_finish(monkeypatch, dtype, n, r, m):
+    # After complex64 rounds the double finish gives M^H U = V Sigma, so the
+    # core U^H M conj(U) is U^H conj(V) Sigma and takes no correlation; after
+    # complex128 rounds the core is the one r-column apply after the rounds.
+    observed, mask = _sampled_lift(n, r, m)
+    u = hankel_ops.apply_D_inv(hankel_ops.p_omega(hankel_ops.apply_D(observed), mask)) / mask.p
+    n_s = hankel_ops.rect_dims(n)[0]
+    apply, _, _ = hankel_ops.lift_operator(u, n_s)
+    cols = []
+
+    def counted(V):
+        cols.append(V.shape[1])
+        return apply(V)
+
+    calls = _spy_trunc_svd(monkeypatch)
+    cores = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda K: cores.append(K) or eigh(K))
+    lowrank.takagi_truncated(counted, n_s, r, seed=0, tol=lowrank.INIT_TOL,
+                             max_rounds=lowrank.INIT_MAX_ROUNDS, strict=False, dtype=dtype)
+    (_, U, _), = calls
+    K, = cores
+    # The probes apply 1 column and the rounds r + OVERSAMPLE.
+    assert cols.count(r) == (dtype == np.complex128)
+    S = K[:r, :r] - 1j * K[r:, :r]  # K = [[Re S, -Im S], [-Im S, -Re S]]
+    S_corr = U.conj().T @ apply(np.conj(U))
+    assert rel(S, 0.5 * (S_corr + S_corr.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("signal", ["noise", "rank_r"])
+def test_trunc_svd_tries_choleskyqr2_until_a_block_falls_outside_its_range(monkeypatch, signal):
+    # Every block of a subspace iteration spans the same operator's range:
+    # on noise each QR above the crossover takes CholeskyQR2, and on an
+    # exactly rank-r lift (ESPRIT's case) only the first block tries it.
+    n, r = 4095, 30
+    rng = np.random.default_rng(0)
+    if signal == "noise":
+        u = rand_complex(rng, n)
+    else:
+        u = np.exp(2j * np.pi * np.outer(np.arange(n), rng.random(r))).sum(axis=1)
+    apply, applyH, dims = hankel_ops.lift_operator(u, hankel_ops.rect_dims(n)[0])
+    assert dims[0] * (r + lowrank.OVERSAMPLE) ** 2 >= lowrank.CHOLESKY_QR_FROM
+    tried = []
+    qr = lowrank._qr
+    monkeypatch.setattr(lowrank, "_qr", lambda A, cholesky=True: tried.append(cholesky)
+                        or qr(A, cholesky))
+    lowrank.trunc_svd(apply, applyH, dims, r, seed=0, tol=1e-9, max_rounds=4, strict=False)
+    if signal == "noise":
+        assert tried == [True] * 9
+    else:
+        assert tried == [True, False, False]
 
 
 # Traced memory of one trunc_svd call on the FFT lift of a length-4095
